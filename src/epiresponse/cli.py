@@ -33,6 +33,7 @@ from .ctmc import AgentPopulation, convergence_study, simulate_ctmc
 from .equilibria import (
     EquilibriumKind,
     HypothesisViolated,
+    NoDecisionPressure,
     NoRootError,
     equilibrium_infection_vs_gamma,
     find_equilibria,
@@ -563,6 +564,7 @@ def main(argv=None) -> int:
         ParseError,
         EmptyTraceError,
         NoRootError,
+        NoDecisionPressure,
         HypothesisViolated,
         StepUnderflowError,
         LeftDomainError,

@@ -21,6 +21,10 @@ contact-trace engine, which has its own machinery.
 Randomness is consumed in a fixed pattern (one gap and three uniforms per
 event, drawn in blocks), which makes runs bit-identical for a given seed
 across platforms.
+
+The response is evaluated through `model.compile_response`, the scalar
+kernel shared with the integrator and the trace engine; at a step
+threshold it takes the canonical selection (p_SP, p_PS) = (0, 1).
 """
 
 import math
@@ -30,13 +34,10 @@ import numpy as np
 
 from .integrator import IntegratorConfig, integrate
 from .model import (
-    ConstantResponse,
     ModelParams,
     ResponseSpec,
-    SigmoidResponse,
     State,
-    StepResponse,
-    eval_response_selected,
+    compile_response,
 )
 
 __all__ = [
@@ -132,40 +133,6 @@ class StudyRow:
     runs: int
 
 
-def _make_response_fn(spec: ResponseSpec):
-    if isinstance(spec, StepResponse):
-        i_star = spec.i_star
-
-        def resp(i):
-            # i == i_star takes the canonical selection (0, 1).
-            if i > i_star:
-                return 1.0, 0.0
-            return 0.0, 1.0
-
-        return resp
-    if isinstance(spec, SigmoidResponse):
-        i_star, eps = spec.i_star, spec.epsilon
-        lo = i_star - 0.5 * eps
-
-        def resp(i):
-            p = (i - lo) / eps
-            if p < 0.0:
-                p = 0.0
-            elif p > 1.0:
-                p = 1.0
-            return p, 1.0 - p
-
-        return resp
-    if isinstance(spec, ConstantResponse):
-        pair = (spec.p_sp, spec.p_ps)
-        return lambda i: pair
-
-    def resp(i):
-        return eval_response_selected(spec, i)
-
-    return resp
-
-
 def simulate_ctmc(
     params: ModelParams,
     spec: ResponseSpec,
@@ -186,7 +153,7 @@ def simulate_ctmc(
     if sample_dt <= 0.0:
         raise ValueError("sample_dt must be positive")
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    resp = _make_response_fn(spec)
+    resp = compile_response(spec)
     n = pop0.n
     n_s, n_i, n_p = pop0.counts
     total = beta + gamma + delta

@@ -38,6 +38,7 @@ __all__ = [
     "Verdict",
     "StabilityReport",
     "NoRootError",
+    "NoDecisionPressure",
     "HypothesisViolated",
     "SlidingNormalForm",
     "SweepRow",
@@ -108,6 +109,10 @@ class StabilityReport:
 
 class NoRootError(ValueError):
     """The endemic equation g(i) = 0 has no root: g(0) < 0."""
+
+
+class NoDecisionPressure(ValueError):
+    """p_sp(0) = p_ps(0) = 0: the disease-free state is not isolated."""
 
 
 class HypothesisViolated(ValueError):
@@ -221,9 +226,9 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
     p_sp0, p_ps0 = eval_response_selected(spec, 0.0)
     denom = p_sp0 + p_ps0
     if denom == 0.0:
-        raise ValueError(
-            "response exerts no decision pressure at i=0; "
-            "the disease-free state is not isolated"
+        raise NoDecisionPressure(
+            f"response exerts no decision pressure at i=0 (p_sp = {p_sp0!r}, "
+            f"p_ps = {p_ps0!r} at i = 0); the disease-free state is not isolated"
         )
     s0 = p_ps0 / denom
     g0 = g_function(params, spec, 0.0)

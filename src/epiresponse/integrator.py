@@ -36,14 +36,13 @@ from .equilibria import (
 )
 from .model import (
     DOMAIN_SLACK,
-    ConstantResponse,
     ModelParams,
     ResponseSpec,
-    SigmoidResponse,
     State,
     StepResponse,
+    compile_response,
     eval_response_arrays,
-    eval_response_selected,
+    eval_response_selected,  # noqa: F401 -- bench/tracing.py wraps this name here
     field,
 )
 
@@ -236,36 +235,10 @@ def _make_rhs(params: ModelParams, spec: ResponseSpec, regime: str):
             return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
 
         return rhs
-    if isinstance(spec, SigmoidResponse):
-        i_star, eps = spec.i_star, spec.epsilon
-        lo = i_star - 0.5 * eps
-
-        def rhs(s, i):
-            if i <= lo:
-                p_sp = 0.0
-            else:
-                p_sp = (i - lo) / eps
-                if p_sp > 1.0:
-                    p_sp = 1.0
-            return (
-                -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * (1.0 - p_sp),
-                (beta * s - delta) * i,
-            )
-
-        return rhs
-    if isinstance(spec, ConstantResponse):
-        p_sp, p_ps = spec.p_sp, spec.p_ps
-
-        def rhs(s, i):
-            return (
-                -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps,
-                (beta * s - delta) * i,
-            )
-
-        return rhs
+    resp = compile_response(spec)
 
     def rhs(s, i):
-        p_sp, p_ps = eval_response_selected(spec, i)
+        p_sp, p_ps = resp(i)
         return (
             -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps,
             (beta * s - delta) * i,

@@ -18,8 +18,9 @@ the two one-sided limits, while the I-rate is continuous across L.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "MultiClassState",
     "eval_response",
     "eval_response_selected",
+    "compile_response",
     "eval_response_arrays",
     "response_slopes",
     "field",
@@ -312,6 +314,70 @@ def eval_response_selected(spec: ResponseSpec, i: float) -> tuple[float, float]:
     if isinstance(p_sp, Interval):
         return 0.0, 1.0
     return p_sp, p_ps
+
+
+def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float]]:
+    """Compile ``spec`` once into a scalar ``i -> (p_sp, p_ps)`` closure.
+
+    The closure makes no numpy calls, so it suits simulators that evaluate
+    the response once per step or event.  It returns what
+    `eval_response_selected` returns (the canonical selection (0, 1) at a
+    step threshold) bit for bit, except that a sigmoid ramp is evaluated as
+    ``(i - lo)/eps`` with ``lo = i_star - eps/2`` precomputed, which rounds
+    differently from ``(i - i_star + eps/2)/eps`` by a few ulps of ``i``
+    over ``eps``.  Tabulated responses replicate ``np.interp``: clamp below
+    the first knot and at or above the last, the knot value exactly on a
+    knot, otherwise ``slope*(i - x[j]) + y[j]``.
+    """
+    if isinstance(spec, StepResponse):
+        i_star = spec.i_star
+
+        def resp(i):
+            if i > i_star:
+                return 1.0, 0.0
+            return 0.0, 1.0
+
+        return resp
+    if isinstance(spec, SigmoidResponse):
+        eps = spec.epsilon
+        lo = spec.i_star - 0.5 * eps
+
+        def resp(i):
+            p = (i - lo) / eps
+            if p < 0.0:
+                p = 0.0
+            elif p > 1.0:
+                p = 1.0
+            return p, 1.0 - p
+
+        return resp
+    if isinstance(spec, TabulatedResponse):
+        xs, sp, ps = spec.knots, spec.p_sp, spec.p_ps
+        x_first, x_last = xs[0], xs[-1]
+        first, last = (sp[0], ps[0]), (sp[-1], ps[-1])
+        widths = [b - a for a, b in zip(xs, xs[1:])]
+        sp_slopes = [(b - a) / w for a, b, w in zip(sp, sp[1:], widths)]
+        ps_slopes = [(b - a) / w for a, b, w in zip(ps, ps[1:], widths)]
+
+        def resp(i):
+            if i < x_first:
+                return first
+            if i < x_last:
+                j = bisect_right(xs, i) - 1
+                x = xs[j]
+                if x == i:
+                    return sp[j], ps[j]
+                d = i - x
+                return sp_slopes[j] * d + sp[j], ps_slopes[j] * d + ps[j]
+            if i >= x_last:
+                return last
+            return i, i  # NaN propagates, as through np.interp
+
+        return resp
+    if isinstance(spec, ConstantResponse):
+        pair = (spec.p_sp, spec.p_ps)
+        return lambda i: pair
+    raise TypeError(f"unknown response spec: {spec!r}")
 
 
 def eval_response_arrays(spec: ResponseSpec, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,9 @@ runs on a common grid meaningful.
 Simultaneous events are ordered by timestamp with contacts taking
 priority over clock events; clock times are continuous so clock/clock
 ties do not occur.
+
+Each class response is compiled once by `model.compile_response`, the
+scalar kernel shared with the jump process and the integrator.
 """
 
 import math
@@ -23,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctmc import _make_response_fn
-from .model import ClassSpec
+from .model import ClassSpec, compile_response
 
 __all__ = [
     "Contact",
@@ -283,7 +285,7 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     if any(sz == 0 for sz in class_sizes):
         raise ValueError("every class needs at least one member")
 
-    resp_fns = [_make_response_fn(c.response) for c in exp.classes]
+    resp_fns = [compile_response(c.response) for c in exp.classes]
     span = trace.duration
     grid_dt = exp.grid_dt
     k_max = int(math.floor(span / grid_dt + 1e-9))

@@ -143,6 +143,17 @@ def test_basin_subcritical_all_disease_free(tmp_path):
     assert {row[2] for row in rows} == {"disease_free"}
 
 
+@pytest.mark.parametrize("command", ["equilibria", "basin"])
+def test_response_without_decision_pressure_exits_3(tmp_path, capsys, command):
+    cfg = "beta = 1\ngamma = 1\ndelta = 0.5\nkind = constant\np_sp = 0\np_ps = 0\n"
+    if command == "basin":
+        cfg += "grid_n = 3\n"
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "p_sp = 0.0, p_ps = 0.0 at i = 0" in err
+
+
 # -------------------------------------------------------------- sweep-gamma
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    compile_response,
     eval_response,
     eval_response_arrays,
     eval_response_selected,
@@ -159,6 +162,70 @@ def test_array_evaluation_matches_scalar():
             s, r = eval_response(spec, float(i))
             assert p_sp[k] == pytest.approx(s, abs=1e-15)
             assert p_ps[k] == pytest.approx(r, abs=1e-15)
+
+
+# ------------------------------------------------- compiled scalar kernel
+#
+# `eval_response_selected` is the reference: the compiled kernel must return
+# exactly what it returns, so that engines switching to the kernel keep
+# their outputs byte for byte.
+
+QUERY = st.floats(-1.0, 2.0)
+
+
+@st.composite
+def tabulated_responses(draw):
+    knots = sorted(draw(st.sets(st.floats(-0.5, 1.5), min_size=2, max_size=8)))
+    values = st.lists(st.floats(0.0, 1.0), min_size=len(knots), max_size=len(knots))
+    p_sp = sorted(draw(values))
+    p_ps = sorted(draw(values), reverse=True)
+    return TabulatedResponse(tuple(knots), tuple(p_sp), tuple(p_ps))
+
+
+def _around(x):
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+@given(tabulated_responses(), QUERY)
+def test_compiled_tabulated_matches_reference_exactly(spec, i):
+    resp = compile_response(spec)
+    probes = [i, spec.knots[0] - 0.5, spec.knots[-1] + 0.5]
+    for knot in spec.knots:
+        probes.extend(_around(knot))
+    for x in probes:
+        assert resp(x) == eval_response_selected(spec, x)
+
+
+@given(st.floats(0.01, 1.0), QUERY)
+def test_compiled_step_matches_reference_exactly(i_star, i):
+    spec = StepResponse(i_star)
+    resp = compile_response(spec)
+    for x in (i, *_around(i_star)):
+        assert resp(x) == eval_response_selected(spec, x)
+    assert resp(i_star) == (0.0, 1.0)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), QUERY)
+def test_compiled_constant_matches_reference_exactly(p_sp, p_ps, i):
+    spec = ConstantResponse(p_sp, p_ps)
+    assert compile_response(spec)(i) == eval_response_selected(spec, i)
+
+
+@given(st.floats(0.01, 1.0), st.floats(1e-3, 1.0), QUERY)
+def test_compiled_sigmoid_matches_reference_to_rounding(i_star, eps, i):
+    # Not ==: the kernel computes (i - lo)/eps with lo = i_star - eps/2
+    # rounded once, the reference (i - i_star + eps/2)/eps; the two differ
+    # by a few ulps of i over eps, below 1e-12 for eps >= 1e-3.
+    spec = SigmoidResponse(i_star, eps)
+    resp = compile_response(spec)
+    for x in (i, i_star, *_around(i_star - 0.5 * eps), *_around(i_star + 0.5 * eps)):
+        got, want = resp(x), eval_response_selected(spec, x)
+        assert got == pytest.approx(want, abs=1e-12, rel=0.0)
+
+
+def test_compile_response_rejects_unknown_spec():
+    with pytest.raises(TypeError):
+        compile_response(Interval(0.0, 1.0))
 
 
 def test_array_evaluation_rejects_step():
