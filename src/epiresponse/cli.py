@@ -35,9 +35,7 @@ from .equilibria import (
     HypothesisViolated,
     NoDecisionPressure,
     NoRootError,
-    equilibrium_infection_vs_gamma,
     find_equilibria,
-    find_equilibria_continuous,
     stability_sliding,
     stability_smooth,
 )
@@ -54,7 +52,7 @@ from .model import (
     ModelParams,
     SigmoidResponse,
     State,
-    eval_response_selected,
+    compile_field,
 )
 from .traces import (
     EmptyTraceError,
@@ -229,17 +227,11 @@ def cmd_integrate(text, args) -> int:
         grid_n = values["field_grid_n"]
         if grid_n < 2:
             raise ConfigError("key 'field_grid_n': must be at least 2")
-        beta, gamma, delta = params.beta, params.gamma, params.delta
-        axis = np.linspace(0.0, 1.0, grid_n)
-        field_rows = []
-        for s in axis:
-            for i in axis:
-                if s + i > 1.0 + 1e-12:
-                    continue
-                p_sp, p_ps = eval_response_selected(spec, float(i))
-                ds = -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps
-                di = (beta * s - delta) * i
-                field_rows.append((float(s), float(i), ds, di))
+        rhs = compile_field(params, spec)
+        axis = np.linspace(0.0, 1.0, grid_n).tolist()
+        field_rows = [
+            (s, i, *rhs(s, i)) for s in axis for i in axis if s + i <= 1.0 + 1e-12
+        ]
         _write_table(
             args.out, "field", ("s", "i", "ds", "di"), field_rows, args.format
         )
@@ -297,36 +289,12 @@ def cmd_sweep_gamma(text, args) -> int:
         grid = np.logspace(math.log10(lo), math.log10(hi), values["gamma_count"])
     else:
         grid = np.linspace(lo, hi, values["gamma_count"])
-    if values["kind"] == "step":
-        if values["epsilon"] is not None:
-            raise ConfigError("key 'epsilon' does not apply to kind 'step'")
-        try:
-            rows = [
-                (row.gamma, row.i_eq, row.kind.value)
-                for row in equilibrium_infection_vs_gamma(
-                    values["beta"], values["delta"], values["i_star"], grid
-                )
-            ]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    else:
-        if values["epsilon"] is None:
-            raise ConfigError("missing required key 'epsilon' for kind 'sigmoid'")
-        try:
-            spec = SigmoidResponse(i_star=values["i_star"], epsilon=values["epsilon"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        rows = []
-        for gamma in grid:
-            params = ModelParams(
-                beta=values["beta"], gamma=float(gamma), delta=values["delta"]
-            )
-            eqs = find_equilibria_continuous(params, spec)
-            endemic = [e for e in eqs if e.kind is EquilibriumKind.ENDEMIC]
-            if endemic:
-                rows.append((float(gamma), endemic[0].point.i, "endemic"))
-            else:
-                rows.append((float(gamma), 0.0, "disease_free"))
+    spec = build_response(values)
+    rows = []
+    for gamma in grid.tolist():
+        # X0 comes first; an endemic or sliding point, when present, last.
+        eq = find_equilibria(_model_from({**values, "gamma": gamma}), spec)[-1]
+        rows.append((gamma, eq.point.i, eq.kind.value))
     _write_table(args.out, "sweep", ("gamma", "i_eq", "kind"), rows, args.format)
     return 0
 

@@ -138,7 +138,8 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
     (strictly), and X2 = (delta/beta, i_star) iff i_star <= I1.  The two
     conditions partition delta < beta; at equality only X2 is reported,
     flagged ``boundary`` (X1 and X2 coincide there).  At delta == beta the
-    would-be X1 collapses onto X0 (flagged ``degenerate``).
+    would-be X1 collapses onto X0, and at gamma == 0 the whole line i = 0
+    is stationary; both leave X0 alone, flagged ``degenerate``.
     """
     if not (0.0 < i_star <= 1.0):
         raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
@@ -147,10 +148,10 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
         Equilibrium(
             EquilibriumKind.DISEASE_FREE,
             State(1.0, 0.0),
-            degenerate=(delta == beta),
+            degenerate=(delta == beta or gamma == 0.0),
         )
     ]
-    if delta >= beta:
+    if delta >= beta or gamma == 0.0:
         return out
     s_eq = delta / beta
     i1 = _endemic_i_step(params)

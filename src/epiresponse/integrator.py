@@ -40,8 +40,8 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
+    compile_field,
     compile_response,
-    eval_response_arrays,
     eval_response_selected,  # noqa: F401 -- bench/tracing.py wraps this name here
     field,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "LeftDomainError",
     "DomainError",
     "integrate",
-    "integrate_sliding",
     "energy_E",
     "monotone_M",
     "dulac_scan",
@@ -222,6 +221,8 @@ class Trajectory:
 
 
 def _make_rhs(params: ModelParams, spec: ResponseSpec, regime: str):
+    # The one-sided step branches are written out: they are the hot path of
+    # Filippov integration and skip the response call.
     beta, gamma, delta = params.beta, params.gamma, params.delta
     if regime == _REGIME_ABOVE:
 
@@ -235,16 +236,7 @@ def _make_rhs(params: ModelParams, spec: ResponseSpec, regime: str):
             return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
 
         return rhs
-    resp = compile_response(spec)
-
-    def rhs(s, i):
-        p_sp, p_ps = resp(i)
-        return (
-            -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps,
-            (beta * s - delta) * i,
-        )
-
-    return rhs
+    return compile_field(params, spec)
 
 
 def _initial_step(rhs, s, i, fs, fi, rel_tol, abs_tol, t_left):
@@ -538,24 +530,6 @@ def integrate(
     return build(TerminationReason.T_MAX)
 
 
-def integrate_sliding(
-    params: ModelParams,
-    i_star: float,
-    x0: State,
-    cfg: IntegratorConfig | None = None,
-) -> Trajectory:
-    """Integrate a start on the discontinuity line of a step response.
-
-    Thin wrapper over `integrate` that enforces the on-line precondition;
-    the crossing/tangency resolution (immediate CrossUp/CrossDown by the
-    sign of di/dt, HitSliding at the sliding equilibrium, canonical
-    below-threshold continuation otherwise) lives in `integrate`.
-    """
-    if x0.i != i_star:
-        raise ValueError(f"x0 must lie on i == i_star, got i={x0.i}, i_star={i_star}")
-    return integrate(params, StepResponse(i_star), x0, cfg)
-
-
 def energy_E(params: ModelParams, x: State) -> float:
     """First-integral diagnostic of the above-threshold branch.
 
@@ -608,14 +582,14 @@ def dulac_scan(params: ModelParams, spec: ResponseSpec, grid_n: int) -> float:
         raise ValueError("grid_n must be at least 2")
     if isinstance(spec, StepResponse):
         raise TypeError("the divergence scan requires a single-valued response")
-    i_vals = np.linspace(1.0 / grid_n, 1.0, grid_n)
-    s_vals = np.linspace(0.0, 1.0, grid_n)
-    p_sp, p_ps = eval_response_arrays(spec, i_vals)
-    div_by_i = -params.beta - params.gamma * (p_sp + p_ps) / i_vals
-    ss, ii = np.meshgrid(s_vals, i_vals)
-    mask = ss + ii <= 1.0 + DOMAIN_SLACK
-    values = np.broadcast_to(div_by_i[:, None], ss.shape)
-    return float(values[mask].max())
+    beta, gamma = params.beta, params.gamma
+    resp = compile_response(spec)
+    # div(F/i) does not depend on s, and s = 0 keeps every grid level of i
+    # inside D, so the scan runs over the i levels alone.
+    return max(
+        -beta - gamma * sum(resp(i)) / i
+        for i in np.linspace(1.0 / grid_n, 1.0, grid_n).tolist()
+    )
 
 
 def classify_basin(

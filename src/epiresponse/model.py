@@ -20,15 +20,12 @@ the two one-sided limits, while the I-rate is continuous across L.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
-
-import numpy as np
+from typing import Callable, Union
 
 __all__ = [
     "DOMAIN_SLACK",
     "ModelParams",
     "State",
-    "Interval",
     "StepResponse",
     "SigmoidResponse",
     "TabulatedResponse",
@@ -39,14 +36,11 @@ __all__ = [
     "FieldSegment",
     "FieldValue",
     "ClassSpec",
-    "MultiClassState",
-    "eval_response",
     "eval_response_selected",
     "compile_response",
-    "eval_response_arrays",
+    "compile_field",
     "response_slopes",
     "field",
-    "field_multiclass",
 ]
 
 # Slack used for membership tests of the unit simplex; absorbs integrator
@@ -96,13 +90,6 @@ class State:
     def p(self) -> float:
         """Protected fraction 1 - s - i."""
         return 1.0 - self.s - self.i
-
-
-class Interval(NamedTuple):
-    """Closed interval [lo, hi]; the set-valued branch of a threshold response."""
-
-    lo: float
-    hi: float
 
 
 @dataclass(frozen=True)
@@ -246,88 +233,18 @@ class ClassSpec:
             raise ValueError(f"class weight must lie in (0, 1], got {self.weight}")
 
 
-@dataclass(frozen=True)
-class MultiClassState:
-    """Per-class (s_c, i_c) fractions of the *total* population."""
-
-    fractions: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        fracs = tuple((float(s), float(i)) for s, i in self.fractions)
-        object.__setattr__(self, "fractions", fracs)
-        if not fracs:
-            raise ValueError("at least one class is required")
-        for s, i in fracs:
-            if s < -DOMAIN_SLACK or i < -DOMAIN_SLACK:
-                raise ValueError(f"negative class fraction in ({s}, {i})")
-        if self.total_s + self.total_i > 1.0 + DOMAIN_SLACK:
-            raise ValueError("aggregate s + i exceeds 1")
-
-    @property
-    def total_s(self) -> float:
-        return sum(s for s, _ in self.fractions)
-
-    @property
-    def total_i(self) -> float:
-        return sum(i for _, i in self.fractions)
-
-
-def eval_response(spec: ResponseSpec, i: float):
-    """Switch probabilities (p_sp, p_ps) at infected fraction ``i``.
-
-    For a `StepResponse` at exactly i == i_star the result is a pair of
-    `Interval` objects (the correspondence is set-valued there); in every
-    other case both entries are floats.
-    """
-    if isinstance(spec, StepResponse):
-        if i < spec.i_star:
-            return 0.0, 1.0
-        if i > spec.i_star:
-            return 1.0, 0.0
-        return Interval(0.0, 1.0), Interval(0.0, 1.0)
-    if isinstance(spec, SigmoidResponse):
-        half = 0.5 * spec.epsilon
-        if i <= spec.i_star - half:
-            p_sp = 0.0
-        elif i >= spec.i_star + half:
-            p_sp = 1.0
-        else:
-            p_sp = (i - spec.i_star + half) / spec.epsilon
-        return p_sp, 1.0 - p_sp
-    if isinstance(spec, TabulatedResponse):
-        p_sp = float(np.interp(i, spec.knots, spec.p_sp))
-        p_ps = float(np.interp(i, spec.knots, spec.p_ps))
-        return p_sp, p_ps
-    if isinstance(spec, ConstantResponse):
-        return spec.p_sp, spec.p_ps
-    raise TypeError(f"unknown response spec: {spec!r}")
-
-
-def eval_response_selected(spec: ResponseSpec, i: float) -> tuple[float, float]:
-    """Single-valued response; on a step threshold applies the canonical selection.
-
-    At exactly i == i_star the step correspondence admits any value in
-    [0, 1]; the canonical selection (p_sp, p_ps) = (0, 1) — the limit from
-    below — is used wherever a simulator needs one number.
-    """
-    p_sp, p_ps = eval_response(spec, i)
-    if isinstance(p_sp, Interval):
-        return 0.0, 1.0
-    return p_sp, p_ps
-
-
 def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float]]:
     """Compile ``spec`` once into a scalar ``i -> (p_sp, p_ps)`` closure.
 
-    The closure makes no numpy calls, so it suits simulators that evaluate
-    the response once per step or event.  It returns what
-    `eval_response_selected` returns (the canonical selection (0, 1) at a
-    step threshold) bit for bit, except that a sigmoid ramp is evaluated as
-    ``(i - lo)/eps`` with ``lo = i_star - eps/2`` precomputed, which rounds
-    differently from ``(i - i_star + eps/2)/eps`` by a few ulps of ``i``
-    over ``eps``.  Tabulated responses replicate ``np.interp``: clamp below
-    the first knot and at or above the last, the knot value exactly on a
-    knot, otherwise ``slope*(i - x[j]) + y[j]``.
+    This is the one implementation of the response: every engine evaluates
+    it through this closure.  The closure makes no numpy calls, so it suits
+    simulators that evaluate the response once per step or event.  At a
+    step threshold it applies the canonical selection (p_sp, p_ps) = (0, 1),
+    the limit from below, one fixed value out of the set [0, 1].  A sigmoid
+    ramp is evaluated as ``(i - lo)/eps`` with ``lo = i_star - eps/2``
+    precomputed.  Tabulated responses replicate ``numpy.interp`` bit for
+    bit: clamp below the first knot and at or above the last, the knot
+    value exactly on a knot, otherwise ``slope*(i - x[j]) + y[j]``.
     """
     if isinstance(spec, StepResponse):
         i_star = spec.i_star
@@ -371,7 +288,7 @@ def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float
                 return sp_slopes[j] * d + sp[j], ps_slopes[j] * d + ps[j]
             if i >= x_last:
                 return last
-            return i, i  # NaN propagates, as through np.interp
+            return i, i  # NaN propagates, as through numpy.interp
 
         return resp
     if isinstance(spec, ConstantResponse):
@@ -380,17 +297,30 @@ def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float
     raise TypeError(f"unknown response spec: {spec!r}")
 
 
-def eval_response_arrays(spec: ResponseSpec, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `eval_response` for single-valued (continuous) responses."""
-    i = np.asarray(i, dtype=float)
-    if isinstance(spec, SigmoidResponse):
-        p_sp = np.clip((i - spec.i_star + 0.5 * spec.epsilon) / spec.epsilon, 0.0, 1.0)
-        return p_sp, 1.0 - p_sp
-    if isinstance(spec, TabulatedResponse):
-        return np.interp(i, spec.knots, spec.p_sp), np.interp(i, spec.knots, spec.p_ps)
-    if isinstance(spec, ConstantResponse):
-        return np.full_like(i, spec.p_sp), np.full_like(i, spec.p_ps)
-    raise TypeError(f"array evaluation requires a single-valued response, got {spec!r}")
+def eval_response_selected(spec: ResponseSpec, i: float) -> tuple[float, float]:
+    """One evaluation of `compile_response`; prefer the closure in loops."""
+    return compile_response(spec)(i)
+
+
+def compile_field(
+    params: ModelParams, spec: ResponseSpec
+) -> Callable[[float, float], tuple[float, float]]:
+    """Compile the single-valued field into a scalar ``(s, i) -> (ds, di)`` closure.
+
+    The response comes from `compile_response`, so a step threshold uses the
+    canonical selection (0, 1); `field` gives the set-valued form there.
+    """
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    resp = compile_response(spec)
+
+    def rhs(s, i):
+        p_sp, p_ps = resp(i)
+        return (
+            -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps,
+            (beta * s - delta) * i,
+        )
+
+    return rhs
 
 
 def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
@@ -412,7 +342,7 @@ def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
         knots = spec.knots
         if i < knots[0] or i >= knots[-1]:
             return 0.0, 0.0
-        k = int(np.searchsorted(knots, i, side="right")) - 1
+        k = bisect_right(knots, i) - 1
         dk = knots[k + 1] - knots[k]
         return (
             (spec.p_sp[k + 1] - spec.p_sp[k]) / dk,
@@ -430,64 +360,15 @@ def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:
         ds_lo = -beta*s*i - gamma*s              (limit from above)
         ds_hi = -beta*s*i + gamma*(1 - s - i)    (limit from below)
 
-    while di = (beta*s - delta)*i is continuous across L.
+    while di = (beta*s - delta)*i is continuous across L.  Everywhere else
+    the value is that of `compile_field`.
     """
     s, i = x.s, x.i
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    di = beta * s * i - delta * i
     if isinstance(spec, StepResponse) and i == spec.i_star:
+        beta, gamma, delta = params.beta, params.gamma, params.delta
         return FieldSegment(
             ds_lo=-beta * s * i - gamma * s,
             ds_hi=-beta * s * i + gamma * (1.0 - s - i),
-            di=di,
+            di=beta * s * i - delta * i,
         )
-    p_sp, p_ps = eval_response_selected(spec, i)
-    ds = -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps
-    return FieldPoint(ds=ds, di=di)
-
-
-def _check_weights(classes: Sequence[ClassSpec]) -> None:
-    total = sum(c.weight for c in classes)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"class weights must sum to 1, got {total!r}")
-
-
-def field_multiclass(
-    params: ModelParams,
-    classes: Sequence[ClassSpec],
-    x: MultiClassState,
-) -> list[FieldPoint]:
-    """Per-class rates when classes share the epidemic but respond to total I.
-
-    Every class sees the same infection pressure I_total = sum_c i_c; only
-    its switch probabilities differ:
-
-        dS_c/dt = -beta*s_c*I_total - gamma*s_c*p_SP^c(I_total)
-                  + gamma*(a_c - s_c - i_c)*p_PS^c(I_total)
-        dI_c/dt =  beta*s_c*I_total - delta*i_c
-
-    Step thresholds hit exactly by I_total use the canonical selection
-    (p_sp, p_ps) = (0, 1).
-    """
-    _check_weights(classes)
-    if len(x.fractions) != len(classes):
-        raise ValueError(
-            f"state has {len(x.fractions)} classes, spec has {len(classes)}"
-        )
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    i_total = x.total_i
-    out = []
-    for spec, (s_c, i_c) in zip(classes, x.fractions):
-        if s_c + i_c > spec.weight + DOMAIN_SLACK:
-            raise ValueError(
-                f"class fractions ({s_c}, {i_c}) exceed class weight {spec.weight}"
-            )
-        p_sp, p_ps = eval_response_selected(spec.response, i_total)
-        ds = (
-            -beta * s_c * i_total
-            - gamma * s_c * p_sp
-            + gamma * (spec.weight - s_c - i_c) * p_ps
-        )
-        di = beta * s_c * i_total - delta * i_c
-        out.append(FieldPoint(ds=ds, di=di))
-    return out
+    return FieldPoint(*compile_field(params, spec)(s, i))

@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epiresponse.cli import main
+from epiresponse.config import format_value
+from epiresponse.equilibria import equilibrium_infection_vs_gamma
 from epiresponse.model import SigmoidResponse, StepResponse, eval_response_selected
 
 FIXTURE = Path(__file__).parent / "data" / "five_node.csv"
@@ -61,6 +65,19 @@ def test_equilibria_subcritical(tmp_path):
     report = json.loads((out / "equilibria.json").read_text())
     assert len(report["equilibria"]) == 1
     assert report["equilibria"][0]["stability"]["verdict"] == "asymptotically_stable"
+
+
+def test_equilibria_gamma_zero_step_is_degenerate(tmp_path, capsys):
+    # without decision updates the whole line i = 0 is stationary: only X0
+    # is reported, flagged, as for a sigmoid response
+    rates = "beta = 1\ngamma = 0\ndelta = 0.5\n"
+    for response in ("kind = step\n", "kind = sigmoid\nepsilon = 0.1\n"):
+        code, out = run(tmp_path, "equilibria", rates + response + "i_star = 0.2\n")
+        assert code == 0
+        (entry,) = json.loads((out / "equilibria.json").read_text())["equilibria"]
+        assert entry["kind"] == "disease_free"
+        assert entry["degenerate"]
+        assert capsys.readouterr().out.startswith("disease_free: (1, 0) ")
 
 
 def test_missing_required_key_names_it(tmp_path, capsys):
@@ -172,6 +189,47 @@ def test_sweep_gamma_step_closed_form(tmp_path):
         assert i_eq == pytest.approx(min(0.5 / (1.0 + 0.5 / gamma), 0.3), abs=1e-12)
     assert rows[0][2] == "endemic"
     assert rows[-1][2] == "sliding"
+
+
+@pytest.mark.parametrize(
+    "beta, delta, i_star, log_spacing",
+    [
+        (1.3, 0.4, 0.25, True),  # endemic, then sliding
+        (2.0, 0.5, 1.0, False),  # endemic only
+        (0.5, 0.5, 0.1, True),  # delta == beta: disease-free
+        (0.4, 0.7, 0.1, False),  # delta > beta: disease-free
+    ],
+)
+def test_sweep_gamma_step_rows_equal_closed_form(tmp_path, beta, delta, i_star, log_spacing):
+    cfg = (
+        f"beta = {beta}\ndelta = {delta}\nkind = step\ni_star = {i_star}\n"
+        f"gamma_min = 0.01\ngamma_max = 100\ngamma_count = 40\n"
+        f"log_spacing = {format_value(log_spacing)}\n"
+    )
+    code, out = run(tmp_path, "sweep-gamma", cfg)
+    assert code == 0
+    if log_spacing:
+        grid = np.logspace(math.log10(0.01), math.log10(100.0), 40)
+    else:
+        grid = np.linspace(0.01, 100.0, 40)
+    want = [
+        [format_value(float(row.gamma)), format_value(row.i_eq), row.kind.value]
+        for row in equilibrium_infection_vs_gamma(beta, delta, i_star, grid)
+    ]
+    _, rows = read_csv(out / "sweep.csv")
+    assert rows == want
+
+
+@pytest.mark.parametrize("beta", ["0", "-1"])
+def test_sweep_gamma_rejects_invalid_beta(tmp_path, capsys, beta):
+    cfg = (
+        f"beta = {beta}\ndelta = 0.5\nkind = step\ni_star = 0.3\n"
+        "gamma_min = 0.1\ngamma_max = 10\n"
+    )
+    code, out = run(tmp_path, "sweep-gamma", cfg)
+    assert code == 2
+    assert "beta" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_gamma_sigmoid_needs_epsilon(tmp_path, capsys):

@@ -14,7 +14,6 @@ from epiresponse.integrator import (
     dulac_scan,
     energy_E,
     integrate,
-    integrate_sliding,
     monotone_M,
 )
 from epiresponse.model import (
@@ -190,18 +189,18 @@ def test_capture_not_armed_without_stable_certificate():
 
 
 def test_online_start_above_tangency_crosses_up():
-    traj = integrate_sliding(FIG, 0.2, State(0.75, 0.2))
+    traj = integrate(FIG, StepResponse(0.2), State(0.75, 0.2))
     assert traj.events[0] == (0.0, EventKind.CROSS_UP)
     assert traj.reason is TerminationReason.EQUILIBRIUM
 
 
 def test_online_start_below_tangency_crosses_down():
-    traj = integrate_sliding(FIG, 0.2, State(0.2, 0.2))
+    traj = integrate(FIG, StepResponse(0.2), State(0.2, 0.2))
     assert traj.events[0] == (0.0, EventKind.CROSS_DOWN)
 
 
 def test_online_start_at_admissible_sliding_point_stops():
-    traj = integrate_sliding(FIG, 0.2, State(0.5, 0.2))
+    traj = integrate(FIG, StepResponse(0.2), State(0.5, 0.2))
     assert traj.final_time == 0.0
     assert [k for _, k in traj.events] == [
         EventKind.HIT_SLIDING,
@@ -211,15 +210,10 @@ def test_online_start_at_admissible_sliding_point_stops():
 
 def test_online_tangency_without_sliding_point_continues_below():
     # i_star = 0.5 > I1 = 1/3: the line holds no equilibrium at s = 1/2
-    traj = integrate_sliding(FIG, 0.5, State(0.5, 0.5))
+    traj = integrate(FIG, StepResponse(0.5), State(0.5, 0.5))
     assert traj.reason is TerminationReason.EQUILIBRIUM
     assert traj.final_state.i == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert all(k is not EventKind.HIT_SLIDING for _, k in traj.events)
-
-
-def test_online_precondition_enforced():
-    with pytest.raises(ValueError):
-        integrate_sliding(FIG, 0.2, State(0.5, 0.3))
 
 
 # ------------------------------------------------------------- dense output

@@ -4,25 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from epiresponse.integrator import dulac_scan
 from epiresponse.model import (
     DOMAIN_SLACK,
-    ClassSpec,
     ConstantResponse,
     FieldPoint,
     FieldSegment,
-    Interval,
     ModelParams,
-    MultiClassState,
     SigmoidResponse,
     State,
     StepResponse,
     TabulatedResponse,
+    compile_field,
     compile_response,
-    eval_response,
-    eval_response_arrays,
     eval_response_selected,
     field,
-    field_multiclass,
     response_slopes,
 )
 
@@ -89,23 +85,32 @@ def test_tabulated_validation():
 
 def test_step_is_set_valued_at_threshold():
     spec = StepResponse(0.4)
-    assert eval_response(spec, 0.39) == (0.0, 1.0)
-    assert eval_response(spec, 0.41) == (1.0, 0.0)
-    p_sp, p_ps = eval_response(spec, 0.4)
-    assert p_sp == Interval(0.0, 1.0)
-    assert p_ps == Interval(0.0, 1.0)
+    resp = compile_response(spec)
+    assert resp(0.39) == (0.0, 1.0)
+    assert resp(0.41) == (1.0, 0.0)
+    # on the threshold the field spans both one-sided limits: p_sp and p_ps
+    # each range over the whole of [0, 1]
+    s, i = 0.5, 0.4
+    v = field(P, spec, State(s, i))
+    assert isinstance(v, FieldSegment)
+    assert v.ds_lo == -s * i - s  # p_sp = 1, p_ps = 0
+    assert v.ds_hi == -s * i + (1.0 - s - i)  # p_sp = 0, p_ps = 1
     # the canonical selection is the limit from below
+    assert resp(0.4) == (0.0, 1.0)
     assert eval_response_selected(spec, 0.4) == (0.0, 1.0)
 
 
 def test_sigmoid_ramp():
-    spec = SigmoidResponse(0.5, 0.2)
-    assert eval_response(spec, 0.4) == (0.0, 1.0)
-    assert eval_response(spec, 0.6) == (1.0, 0.0)
-    p_sp, p_ps = eval_response(spec, 0.5)
+    resp = compile_response(SigmoidResponse(0.5, 0.2))
+    assert resp(0.4) == (0.0, 1.0)
+    # (0.6 - 0.4)/0.2 rounds to 1 - 2**-52 on the right edge; past it the
+    # clamp gives exactly 1
+    assert resp(0.6) == pytest.approx((1.0, 0.0), abs=1e-15)
+    assert resp(0.6 + 1e-12) == (1.0, 0.0)
+    p_sp, p_ps = resp(0.5)
     assert p_sp == pytest.approx(0.5)
     assert p_ps == pytest.approx(0.5)
-    p_sp, _ = eval_response(spec, 0.45)
+    p_sp, _ = resp(0.45)
     assert p_sp == pytest.approx(0.25)
 
 
@@ -113,16 +118,17 @@ def test_sigmoid_tends_to_step():
     step = StepResponse(0.3)
     tight = SigmoidResponse(0.3, 1e-9)
     for i in (0.1, 0.29, 0.31, 0.9):
-        assert eval_response(tight, i) == eval_response(step, i)
+        assert compile_response(tight)(i) == compile_response(step)(i)
 
 
 def test_tabulated_interpolates_and_clamps():
     spec = TabulatedResponse(
         knots=(0.2, 0.4, 0.8), p_sp=(0.0, 0.5, 1.0), p_ps=(1.0, 0.5, 0.0)
     )
-    assert eval_response(spec, 0.3) == (pytest.approx(0.25), pytest.approx(0.75))
-    assert eval_response(spec, 0.0) == (0.0, 1.0)
-    assert eval_response(spec, 1.0) == (1.0, 0.0)
+    resp = compile_response(spec)
+    assert resp(0.3) == (pytest.approx(0.25), pytest.approx(0.75))
+    assert resp(0.0) == (0.0, 1.0)
+    assert resp(1.0) == (1.0, 0.0)
 
 
 @given(st.floats(0.0, 1.0))
@@ -132,7 +138,7 @@ def test_response_probabilities_stay_in_unit_interval(i):
         TabulatedResponse((0.1, 0.5, 0.9), (0.0, 0.2, 0.9), (1.0, 0.6, 0.1)),
         ConstantResponse(0.3, 0.8),
     ):
-        p_sp, p_ps = eval_response(spec, i)
+        p_sp, p_ps = compile_response(spec)(i)
         assert 0.0 <= p_sp <= 1.0
         assert 0.0 <= p_ps <= 1.0
 
@@ -144,31 +150,17 @@ def test_monotone_in_infection_level(i1, i2):
         SigmoidResponse(0.5, 0.25),
         TabulatedResponse((0.0, 0.5, 1.0), (0.0, 0.1, 0.8), (0.9, 0.4, 0.0)),
     ):
-        sp_lo, ps_lo = eval_response(spec, lo)
-        sp_hi, ps_hi = eval_response(spec, hi)
+        resp = compile_response(spec)
+        sp_lo, ps_lo = resp(lo)
+        sp_hi, ps_hi = resp(hi)
         assert sp_lo <= sp_hi
         assert ps_lo >= ps_hi
 
 
-def test_array_evaluation_matches_scalar():
-    grid = np.linspace(0.0, 1.0, 101)
-    for spec in (
-        SigmoidResponse(0.42, 0.07),
-        TabulatedResponse((0.1, 0.6), (0.0, 1.0), (1.0, 0.2)),
-        ConstantResponse(0.25, 0.5),
-    ):
-        p_sp, p_ps = eval_response_arrays(spec, grid)
-        for k, i in enumerate(grid):
-            s, r = eval_response(spec, float(i))
-            assert p_sp[k] == pytest.approx(s, abs=1e-15)
-            assert p_ps[k] == pytest.approx(r, abs=1e-15)
-
-
 # ------------------------------------------------- compiled scalar kernel
 #
-# `eval_response_selected` is the reference: the compiled kernel must return
-# exactly what it returns, so that engines switching to the kernel keep
-# their outputs byte for byte.
+# Independent references: `np.interp` for tabulated responses (the kernel
+# must reproduce it bit for bit), closed forms for the other variants.
 
 QUERY = st.floats(-1.0, 2.0)
 
@@ -193,44 +185,51 @@ def test_compiled_tabulated_matches_reference_exactly(spec, i):
     for knot in spec.knots:
         probes.extend(_around(knot))
     for x in probes:
-        assert resp(x) == eval_response_selected(spec, x)
+        want = (
+            float(np.interp(x, spec.knots, spec.p_sp)),
+            float(np.interp(x, spec.knots, spec.p_ps)),
+        )
+        assert resp(x) == want
+        assert eval_response_selected(spec, x) == want
 
 
 @given(st.floats(0.01, 1.0), QUERY)
 def test_compiled_step_matches_reference_exactly(i_star, i):
-    spec = StepResponse(i_star)
-    resp = compile_response(spec)
+    resp = compile_response(StepResponse(i_star))
     for x in (i, *_around(i_star)):
-        assert resp(x) == eval_response_selected(spec, x)
+        assert resp(x) == ((1.0, 0.0) if x > i_star else (0.0, 1.0))
     assert resp(i_star) == (0.0, 1.0)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), QUERY)
 def test_compiled_constant_matches_reference_exactly(p_sp, p_ps, i):
-    spec = ConstantResponse(p_sp, p_ps)
-    assert compile_response(spec)(i) == eval_response_selected(spec, i)
+    assert compile_response(ConstantResponse(p_sp, p_ps))(i) == (p_sp, p_ps)
 
 
 @given(st.floats(0.01, 1.0), st.floats(1e-3, 1.0), QUERY)
 def test_compiled_sigmoid_matches_reference_to_rounding(i_star, eps, i):
     # Not ==: the kernel computes (i - lo)/eps with lo = i_star - eps/2
-    # rounded once, the reference (i - i_star + eps/2)/eps; the two differ
+    # rounded once, the closed form (i - i_star + eps/2)/eps; the two differ
     # by a few ulps of i over eps, below 1e-12 for eps >= 1e-3.
-    spec = SigmoidResponse(i_star, eps)
-    resp = compile_response(spec)
+    resp = compile_response(SigmoidResponse(i_star, eps))
     for x in (i, i_star, *_around(i_star - 0.5 * eps), *_around(i_star + 0.5 * eps)):
-        got, want = resp(x), eval_response_selected(spec, x)
-        assert got == pytest.approx(want, abs=1e-12, rel=0.0)
+        p_sp = min(max((x - i_star + 0.5 * eps) / eps, 0.0), 1.0)
+        assert resp(x) == pytest.approx((p_sp, 1.0 - p_sp), abs=1e-12, rel=0.0)
 
 
 def test_compile_response_rejects_unknown_spec():
     with pytest.raises(TypeError):
-        compile_response(Interval(0.0, 1.0))
+        compile_response((0.0, 1.0))
 
 
 def test_array_evaluation_rejects_step():
-    with pytest.raises(TypeError):
-        eval_response_arrays(StepResponse(0.5), np.linspace(0, 1, 5))
+    # The grid evaluation of a response (the Dulac divergence scan) needs a
+    # single-valued response: a step is refused by its type, even when no grid
+    # point lands on the threshold, while a steep sigmoid is accepted.
+    for i_star in (0.5, 0.123):
+        with pytest.raises(TypeError):
+            dulac_scan(P, StepResponse(i_star), 10)
+    assert math.isfinite(dulac_scan(P, SigmoidResponse(0.123, 1e-3), 10))
 
 
 def test_slopes_right_convention():
@@ -283,44 +282,16 @@ def test_field_sigmoid_inside_ramp():
     assert v.ds == pytest.approx(expected)
 
 
-# ---------------------------------------------------------------- multiclass
-
-
-def test_multiclass_weights_must_sum_to_one():
-    specs = [ClassSpec(0.5, StepResponse(0.1)), ClassSpec(0.4, StepResponse(0.9))]
-    x = MultiClassState(((0.4, 0.05), (0.3, 0.05)))
-    with pytest.raises(ValueError):
-        field_multiclass(P, specs, x)
-
-
-def test_multiclass_couples_through_total_infection():
-    # class 1 has a low threshold: the *total* infected fraction is what
-    # pushes it over, even if its own infected share is tiny
-    specs = [ClassSpec(0.5, StepResponse(0.1)), ClassSpec(0.5, StepResponse(0.9))]
-    x = MultiClassState(((0.4, 0.01), (0.3, 0.19)))
-    v1, v2 = field_multiclass(P, specs, x)
-    i_tot = 0.2
-    # class 1 protects (p_sp=1, p_ps=0): ds1 = -b*s1*I - g*s1
-    assert v1.ds == pytest.approx(-0.4 * i_tot - 1.0 * 0.4)
-    assert v1.di == pytest.approx(0.4 * i_tot - 0.5 * 0.01)
-    # class 2 stays out (p_sp=0, p_ps=1): ds2 = -b*s2*I + g*(a2 - s2 - i2)
-    assert v2.ds == pytest.approx(-0.3 * i_tot + 1.0 * (0.5 - 0.3 - 0.19))
-    assert v2.di == pytest.approx(0.3 * i_tot - 0.5 * 0.19)
-
-
-def test_multiclass_fraction_cap():
-    specs = [ClassSpec(0.5, StepResponse(0.5)), ClassSpec(0.5, StepResponse(0.5))]
-    x = MultiClassState(((0.45, 0.1), (0.2, 0.1)))  # class 1 exceeds its weight
-    with pytest.raises(ValueError):
-        field_multiclass(P, specs, x)
-
-
-def test_multiclass_agrees_with_single_class():
-    spec = StepResponse(0.5)
-    x = State(0.6, 0.2)
-    single = field(P, spec, x)
-    (multi,) = field_multiclass(
-        P, [ClassSpec(1.0, spec)], MultiClassState(((0.6, 0.2),))
-    )
-    assert multi.ds == pytest.approx(single.ds)
-    assert multi.di == pytest.approx(single.di)
+def test_compiled_field_matches_closed_form():
+    s, i = 0.3, 0.25
+    for spec in (
+        StepResponse(0.5),
+        SigmoidResponse(0.2, 0.2),
+        TabulatedResponse((0.0, 1.0), (0.0, 0.8), (1.0, 0.0)),
+        ConstantResponse(0.3, 0.6),
+    ):
+        p_sp, p_ps = compile_response(spec)(i)
+        ds, di = compile_field(P, spec)(s, i)
+        assert ds == pytest.approx(-s * i - s * p_sp + (1.0 - s - i) * p_ps, abs=1e-15)
+        assert di == pytest.approx((s - 0.5) * i, abs=1e-15)
+        assert field(P, spec, State(s, i)) == FieldPoint(ds, di)
