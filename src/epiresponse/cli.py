@@ -460,20 +460,9 @@ def cmd_trace(text, args) -> int:
     header = ["t", "s_total", "i_total"]
     for c in range(len(classes)):
         header.extend((f"s_c{c + 1}", f"i_c{c + 1}"))
-    rows = []
-    for k, t in enumerate(result.times):
-        row = [float(t)]
-        row.extend(
-            (result.mean_fractions[k, 0, 0], result.mean_fractions[k, 0, 1])
-        )
-        for c in range(len(classes)):
-            row.extend(
-                (
-                    result.mean_fractions[k, 1 + c, 0],
-                    result.mean_fractions[k, 1 + c, 1],
-                )
-            )
-        rows.append(tuple(row))
+    # t, then (s, i) of the aggregate and of each class
+    cells = result.mean_fractions[:, :, :2].reshape(len(result.times), -1)
+    rows = np.column_stack([result.times, cells]).tolist()
     _write_table(args.out, "trace_avg", tuple(header), rows, args.format)
     return 0
 

@@ -39,6 +39,7 @@ from .model import (
     State,
     compile_response,
 )
+from .sampling import uniform_grid
 
 __all__ = [
     "AgentPopulation",
@@ -150,8 +151,8 @@ def simulate_ctmc(
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    if sample_dt <= 0.0:
-        raise ValueError("sample_dt must be positive")
+    if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
+        raise ValueError("sample_dt must be positive and finite")
     beta, gamma, delta = params.beta, params.gamma, params.delta
     resp = compile_response(spec)
     n = pop0.n
@@ -161,14 +162,13 @@ def simulate_ctmc(
     p_meet = beta / total
     p_meet_update = (beta + gamma) / total
     inv_n = 1.0 / n
-    inv_nm1 = 1.0 / (n - 1)
     rng = np.random.default_rng(seed)
 
-    k_max = int(math.floor(t_max / sample_dt + 1e-9))
-    ts: list[float] = []
+    grid = uniform_grid(t_max, sample_dt)
+    # The inf sentinel ends the sampling check once the grid is filled.
+    grid_t = grid.tolist() + [math.inf]
     cs: list[tuple[int, int, int]] = []
-    next_k = 0
-    next_t = 0.0
+    next_t = grid_t[0]
 
     tallies = {"infect": 0, "protect": 0, "unprotect": 0, "recover": 0}
     occ_s = occ_i = occ_p = 0.0
@@ -183,11 +183,9 @@ def simulate_ctmc(
         u3s = uu[:, 2].tolist()
         for gap, u1, u2, u3 in zip(gaps, u1s, u2s, u3s):
             te = t + gap
-            while next_k <= k_max and next_t < te:
-                ts.append(next_t)
+            while next_t < te:
                 cs.append((n_s, n_i, n_p))
-                next_k += 1
-                next_t = next_k * sample_dt
+                next_t = grid_t[len(cs)]
             if te > t_max:
                 done = True
                 break
@@ -232,17 +230,13 @@ def simulate_ctmc(
         occ_s += (t_max - t) * n_s
         occ_i += (t_max - t) * n_i
         occ_p += (t_max - t) * n_p
-    while next_k <= k_max:
-        ts.append(next_t)
-        cs.append((n_s, n_i, n_p))
-        next_k += 1
-        next_t = next_k * sample_dt
+    cs.extend([(n_s, n_i, n_p)] * (grid.size - len(cs)))
 
     return SimRun(
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         n=n,
         sample_dt=sample_dt,
-        times=np.array(ts),
+        times=grid,
         counts=np.array(cs, dtype=np.int64),
         final_t=t_max,
         transition_counts=tallies if audit else None,
@@ -286,8 +280,7 @@ def convergence_study(
         raise ValueError("n_list must be strictly increasing")
     if runs_per_n < 1:
         raise ValueError("runs_per_n must be positive")
-    k_max = int(math.floor(t_max / sample_dt + 1e-9))
-    grid = np.arange(k_max + 1) * sample_dt
+    grid = uniform_grid(t_max, sample_dt)
     reference = _reference_on_grid(params, spec, x0, grid, t_max)
     rows = []
     for n in n_list:

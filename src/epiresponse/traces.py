@@ -17,16 +17,20 @@ priority over clock events; clock times are continuous so clock/clock
 ties do not occur.
 
 Each class response is compiled once by `model.compile_response`, the
-scalar kernel shared with the jump process and the integrator.
+scalar kernel shared with the jump process and the integrator.  A run
+tracks only the agents' states and the infected count the responses
+read; it logs every transition, and `sampling.counts_on_grid` turns the
+log into aggregate and per-class samples once the run is over.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ClassSpec, compile_response
+from .sampling import counts_on_grid, uniform_grid
 
 __all__ = [
     "Contact",
@@ -42,6 +46,9 @@ __all__ = [
 
 _S, _I, _P = 0, 1, 2
 _STATE_CODES = {"S": _S, "I": _I, "P": _P}
+
+# The four transitions as (dS, dI, dP): S->I, S->P, P->S, I->P.
+_MOVES = ((-1, 1, 0), (-1, 0, 1), (1, 0, -1), (0, -1, 1))
 
 
 class Contact(NamedTuple):
@@ -176,18 +183,13 @@ def make_complete_mixing_trace(
         raise EmptyTraceError(
             "no contacts generated; increase pair_rate or duration"
         )
-    # Hold the nominal span even if the last contact lands earlier.
-    recs = sorted(contacts, key=lambda c: (c.t_start, c.t_end, c.a, c.b))
-    nodes = sorted({c.a for c in recs} | {c.b for c in recs})
-    if len(nodes) != n_nodes:
-        # Isolated nodes would drop out of node_ids; anchor them with a
-        # zero-length contact at the span end... they cannot occur here
-        # because every pair draws at least one attempt, but a very low
-        # rate can leave a node with no realized contact.
+    # A trace knows its nodes only through their contacts: a node whose
+    # pairs all drew their first contact after the span would silently
+    # leave the population, so refuse the draw instead.
+    if len({c.a for c in contacts} | {c.b for c in contacts}) != n_nodes:
         raise EmptyTraceError("some nodes have no contacts; increase pair_rate")
-    return ContactTrace(
-        node_ids=tuple(nodes), contacts=tuple(recs), duration=duration
-    )
+    # Hold the nominal span even if the last contact lands earlier.
+    return replace(ContactTrace.from_contacts(contacts), duration=duration)
 
 
 @dataclass(frozen=True)
@@ -219,10 +221,10 @@ class TraceExperiment:
             raise ValueError("at least one class is required")
         if int(self.runs) != self.runs or self.runs < 1:
             raise ValueError("runs must be a positive integer")
-        if self.transient_cut is not None and self.transient_cut < 0.0:
+        if self.transient_cut is not None and not self.transient_cut >= 0.0:
             raise ValueError("transient_cut must be non-negative")
-        if self.grid_dt <= 0.0:
-            raise ValueError("grid_dt must be positive")
+        if not (self.grid_dt > 0.0 and math.isfinite(self.grid_dt)):
+            raise ValueError("grid_dt must be positive and finite")
         bad = {v for v in self.initial.values()} - set(_STATE_CODES)
         if bad:
             raise ValueError(f"initial states must be S/I/P, got {sorted(bad)}")
@@ -287,13 +289,10 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
 
     resp_fns = [compile_response(c.response) for c in exp.classes]
     span = trace.duration
-    grid_dt = exp.grid_dt
-    k_max = int(math.floor(span / grid_dt + 1e-9))
+    grid = uniform_grid(span, exp.grid_dt)
     cut = 0.1 * span if exp.transient_cut is None else exp.transient_cut
-    cut_idx = 0
-    while cut_idx <= k_max and cut_idx * grid_dt < cut:
-        cut_idx += 1
-    if cut_idx > k_max:
+    cut_idx = int(np.searchsorted(grid, cut))
+    if cut_idx == grid.size:
         raise ValueError("transient_cut leaves no samples")
 
     c_start = [c.t_start for c in trace.contacts]
@@ -306,7 +305,20 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
     inv_n = 1.0 / n
 
-    grid_sum = np.zeros((k_max + 1, 1 + n_classes, 3))
+    # Agent j's transitions are logged with code 4 * class_of[j] + move;
+    # each code moves one agent in the aggregate and in its class.
+    code_base = [4 * c for c in class_of]
+    jumps = np.zeros((4 * n_classes, 1 + n_classes, 3), dtype=np.int64)
+    for c in range(n_classes):
+        jumps[4 * c : 4 * c + 4, 0] = _MOVES
+        jumps[4 * c : 4 * c + 4, 1 + c] = _MOVES
+    jumps = jumps.reshape(4 * n_classes, -1)
+    initial = np.zeros((1 + n_classes, 3), dtype=np.int64)
+    np.add.at(initial, (np.add(class_of, 1), init_state), 1)
+    initial[0] = initial[1:].sum(axis=0)
+    sizes = np.array(class_sizes)[:, None]
+
+    grid_sum = np.zeros((grid.size, 1 + n_classes, 3))
     per_run_avg = np.empty((exp.runs, 1 + n_classes, 3))
     final_states = np.empty((exp.runs, n), dtype=np.int8)
 
@@ -334,100 +346,55 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
         n_clocks = len(clock_times)
 
         st = list(init_state)
-        counts = [[0, 0, 0] for _ in range(n_classes)]
-        for j, sj in enumerate(st):
-            counts[class_of[j]][sj] += 1
-        agg = [0, 0, 0]
-        for c in range(n_classes):
-            for k in range(3):
-                agg[k] += counts[c][k]
-
-        rows: list[tuple] = []
-        next_k = 0
-        next_t = 0.0
-
-        def current_row():
-            vals = [agg[0] * inv_n, agg[1] * inv_n, agg[2] * inv_n]
-            for c in range(n_classes):
-                sz = class_sizes[c]
-                vals.extend(
-                    (counts[c][0] / sz, counts[c][1] / sz, counts[c][2] / sz)
-                )
-            return tuple(vals)
-
-        def flush(t_event):
-            nonlocal next_k, next_t
-            if next_k > k_max or next_t >= t_event:
-                return
-            row = current_row()
-            while next_k <= k_max and next_t < t_event:
-                rows.append(row)
-                next_k += 1
-                next_t = next_k * grid_dt
+        n_inf = st.count(_I)
+        log_t: list[float] = []
+        log_code: list[int] = []
 
         ci = cj = 0
         while ci < n_contacts or cj < n_clocks:
             tc = c_start[ci] if ci < n_contacts else math.inf
             tk = clock_times[cj] if cj < n_clocks else math.inf
             if tc <= tk:
-                flush(tc)
                 ja, jb = c_a[ci], c_b[ci]
                 sa, sb = st[ja], st[jb]
-                if sa == _S and sb == _I:
-                    st[ja] = _I
-                    counts[class_of[ja]][_S] -= 1
-                    counts[class_of[ja]][_I] += 1
-                    agg[_S] -= 1
-                    agg[_I] += 1
-                elif sa == _I and sb == _S:
-                    st[jb] = _I
-                    counts[class_of[jb]][_S] -= 1
-                    counts[class_of[jb]][_I] += 1
-                    agg[_S] -= 1
-                    agg[_I] += 1
+                if (sa == _S and sb == _I) or (sa == _I and sb == _S):
+                    j = ja if sa == _S else jb
+                    st[j] = _I
+                    n_inf += 1
+                    log_t.append(tc)
+                    log_code.append(code_base[j])
                 ci += 1
             else:
-                flush(tk)
                 j = int(u_agent[cj] * n)
                 sj = st[j]
                 if u_type[cj] < p_update:
                     if sj == _S:
-                        p_sp = resp_fns[class_of[j]](agg[_I] * inv_n)[0]
-                        if u_act[cj] < p_sp:
+                        if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[0]:
                             st[j] = _P
-                            counts[class_of[j]][_S] -= 1
-                            counts[class_of[j]][_P] += 1
-                            agg[_S] -= 1
-                            agg[_P] += 1
+                            log_t.append(tk)
+                            log_code.append(code_base[j] + 1)
                     elif sj == _P:
-                        p_ps = resp_fns[class_of[j]](agg[_I] * inv_n)[1]
-                        if u_act[cj] < p_ps:
+                        if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[1]:
                             st[j] = _S
-                            counts[class_of[j]][_P] -= 1
-                            counts[class_of[j]][_S] += 1
-                            agg[_P] -= 1
-                            agg[_S] += 1
+                            log_t.append(tk)
+                            log_code.append(code_base[j] + 2)
                 elif sj == _I:
                     st[j] = _P
-                    counts[class_of[j]][_I] -= 1
-                    counts[class_of[j]][_P] += 1
-                    agg[_I] -= 1
-                    agg[_P] += 1
+                    n_inf -= 1
+                    log_t.append(tk)
+                    log_code.append(code_base[j] + 3)
                 cj += 1
 
-        # Hold the last state to the end of the grid.
-        row = current_row()
-        while next_k <= k_max:
-            rows.append(row)
-            next_k += 1
-            next_t = next_k * grid_dt
-
-        samples = np.array(rows).reshape(k_max + 1, 1 + n_classes, 3)
+        counts = counts_on_grid(
+            initial.ravel(), jumps, log_t, log_code, grid
+        ).reshape(grid.size, 1 + n_classes, 3)
+        samples = np.empty(counts.shape)
+        samples[:, 0] = counts[:, 0] * inv_n
+        samples[:, 1:] = counts[:, 1:] / sizes
         grid_sum += samples
         per_run_avg[run] = samples[cut_idx:].mean(axis=0)
         final_states[run] = st
 
-    grid = np.arange(k_max + 1) * grid_dt
     return TraceResult(
         times=grid[cut_idx:],
         mean_fractions=grid_sum[cut_idx:] / exp.runs,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ from epiresponse.cli import main
 from epiresponse.config import format_value
 from epiresponse.equilibria import equilibrium_infection_vs_gamma
 from epiresponse.model import SigmoidResponse, StepResponse, eval_response_selected
+from test_acceptance import CONFIGS
 
 FIXTURE = Path(__file__).parent / "data" / "five_node.csv"
 
@@ -363,3 +365,27 @@ def test_trace_malformed_file_exits_3(tmp_path, capsys):
     code, _ = run(tmp_path, "trace", TRACE_CFG, str(bad))
     assert code == 3
     assert "line 1" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- output pins
+
+# SHA-256 of the stochastic engines' outputs on test_acceptance.CONFIGS.
+# A change to the random stream or to the rounding of a sample changes
+# these digests; such a change must be deliberate and announced.
+PINNED_SHA256 = {
+    ("simulate", "run.csv"): (
+        "9e3c2afcb7014fe21c0a3ee1902795a1c15b2b56d4e6022c7137ca10137c5af6"
+    ),
+    ("trace", "trace_avg.csv"): (
+        "f7157083ca34dd462c4f255120a2dff2ecb76a3bb25c88b4d8821cf116637d62"
+    ),
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_SHA256))
+def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
+    extra = (str(FIXTURE),) if command == "trace" else ()
+    code, out = run(tmp_path, command, CONFIGS[command], *extra)
+    assert code == 0
+    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest == PINNED_SHA256[(command, name)]

@@ -54,8 +54,9 @@ def test_simulate_argument_validation():
     pop = AgentPopulation(n=10, counts=(9, 1, 0))
     with pytest.raises(ValueError):
         simulate_ctmc(FIG, StepResponse(0.2), pop, t_max=0.0, seed=0)
-    with pytest.raises(ValueError):
-        simulate_ctmc(FIG, StepResponse(0.2), pop, t_max=1.0, seed=0, sample_dt=0.0)
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample_dt"):
+            simulate_ctmc(FIG, StepResponse(0.2), pop, t_max=1.0, seed=0, sample_dt=dt)
 
 
 # ----------------------------------------------------------- reproducibility

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epiresponse.equilibria import (
+    BOUNDARY_EPS,
     Equilibrium,
     EquilibriumKind,
     HypothesisViolated,
@@ -230,14 +231,26 @@ def test_disease_free_stable_below_threshold_ratio():
     assert rep.eigenvalues == ((-1 + 0j), (-0.5 + 0j))
 
 
+@example(beta=0.05000000000000001, gamma=1.0, delta=0.05, i_star=0.5)
 @given(rates, rates, rates, st.floats(1e-3, 1.0))
 def test_endemic_point_stable_whenever_admissible(beta, gamma, delta, i_star):
+    # An admissible endemic point is never unstable or a saddle.  With beta
+    # within round-off of delta it sits on the transcritical bifurcation
+    # (the pinned draw: i = 1.06e-16, eigenvalues -1 and ~0), where the
+    # verdict is boundary; the test decides which from an independent
+    # eigenvalue solve.
     p = ModelParams(beta, gamma, delta)
-    eqs = find_equilibria_step(p, i_star)
-    for eq in eqs[1:]:
+    spec = StepResponse(i_star)
+    for eq in find_equilibria_step(p, i_star)[1:]:
         if eq.kind is EquilibriumKind.ENDEMIC:
-            rep = stability_smooth(p, StepResponse(i_star), eq)
-            assert rep.verdict is Verdict.ASYMPTOTICALLY_STABLE
+            verdict = stability_smooth(p, spec, eq).verdict
+            assert verdict not in (Verdict.UNSTABLE, Verdict.SADDLE)
+            jac = np.array(jacobian(p, spec, eq.point))
+            re_max = float(np.linalg.eigvals(jac).real.max())
+            if abs(re_max) <= BOUNDARY_EPS:
+                assert verdict is Verdict.BOUNDARY
+            else:
+                assert verdict is Verdict.ASYMPTOTICALLY_STABLE
 
 
 def test_sliding_rejects_smooth_classifier():

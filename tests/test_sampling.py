@@ -1,0 +1,100 @@
+import numpy as np
+from hypothesis import given, strategies as st
+
+from epiresponse.model import ClassSpec, StepResponse
+from epiresponse.sampling import counts_on_grid, uniform_grid
+from epiresponse.traces import Contact, ContactTrace, TraceExperiment, run_trace_experiment
+
+
+def naive_counts(initial, jumps, times, codes, grid):
+    """Replay a time-sorted log row by row: a grid row takes the state
+    just before the first jump later than its time."""
+    state = list(initial)
+    rows = []
+    k = 0
+    for g in grid:
+        while k < len(times) and times[k] <= g:
+            state = [x + d for x, d in zip(state, jumps[codes[k]])]
+            k += 1
+        rows.append(state)
+    return np.array(rows, dtype=np.int64).reshape(len(grid), len(initial))
+
+
+@st.composite
+def logs(draw):
+    dt = draw(st.sampled_from([0.5, 1.0, 60.0, 97.3]))
+    grid = uniform_grid(draw(st.integers(0, 12)) * dt, dt)
+    m = draw(st.integers(1, 4))
+    n_codes = draw(st.integers(1, 5))
+    jumps = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+            min_size=n_codes,
+            max_size=n_codes,
+        )
+    )
+    initial = draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    # exact grid times and repeats give ties; times past the grid end and
+    # an empty log are drawn too
+    when = st.one_of(
+        st.sampled_from(grid.tolist()),
+        st.floats(0.0, float(grid[-1]) + 2 * dt),
+    )
+    times = sorted(draw(st.lists(when, max_size=40)))
+    codes = draw(
+        st.lists(
+            st.integers(0, n_codes - 1), min_size=len(times), max_size=len(times)
+        )
+    )
+    return initial, jumps, times, codes, grid
+
+
+@given(logs(), st.randoms())
+def test_counts_on_grid_equals_row_by_row_replay(log, rnd):
+    initial, jumps, times, codes, grid = log
+    expected = naive_counts(initial, jumps, times, codes, grid)
+    got = counts_on_grid(initial, jumps, times, codes, grid)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+    # the log order does not matter
+    order = list(range(len(times)))
+    rnd.shuffle(order)
+    shuffled = counts_on_grid(
+        initial, jumps, [times[k] for k in order], [codes[k] for k in order], grid
+    )
+    np.testing.assert_array_equal(shuffled, expected)
+
+
+def test_counts_on_grid_edges():
+    grid = uniform_grid(3.0, 1.0)
+    jumps = [[-1, 1], [1, -1]]
+    empty = counts_on_grid([4, 0], jumps, [], [], grid)
+    np.testing.assert_array_equal(empty, [[4, 0]] * 4)
+    # a jump on a grid time shows in that row; one past the end never does
+    got = counts_on_grid([4, 0], jumps, [1.0, 2.5, 3.5], [0, 0, 1], grid)
+    np.testing.assert_array_equal(got, [[4, 0], [3, 1], [3, 1], [2, 2]])
+
+
+def test_uniform_grid_keeps_an_end_within_round_off():
+    np.testing.assert_array_equal(uniform_grid(5.0, 0.5), np.arange(11) * 0.5)
+    # 0.3 / 0.1 = 2.9999999999999996: the end point is still sampled
+    assert uniform_grid(0.3, 0.1).size == 4
+    assert uniform_grid(0.29, 0.1).size == 3
+
+
+def test_trace_row_on_a_contact_time_shows_the_infection():
+    trace = ContactTrace.from_contacts([Contact(0, 1, 120.0, 120.0), Contact(1, 2, 300.0, 300.0)])
+    exp = TraceExperiment(
+        gamma=0.0,
+        delta=0.0,
+        classes=(ClassSpec(1.0, StepResponse(0.5)),),
+        initial={0: "I", 1: "S", 2: "S"},
+        runs=1,
+        transient_cut=0.0,
+        grid_dt=60.0,
+    )
+    res = run_trace_experiment(trace, exp, seed=0)
+    np.testing.assert_array_equal(res.times, [0.0, 60.0, 120.0, 180.0, 240.0, 300.0])
+    infected = res.mean_fractions[:, 0, 1] * 3
+    np.testing.assert_allclose(infected, [1, 1, 2, 2, 2, 3], rtol=1e-15)
+    np.testing.assert_array_equal(res.mean_fractions[:, 0], res.mean_fractions[:, 1])

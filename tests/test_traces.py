@@ -137,14 +137,16 @@ def test_experiment_validation():
         one_class(gamma=-1.0)
     with pytest.raises(ValueError):
         one_class(runs=0)
-    with pytest.raises(ValueError):
-        one_class(grid_dt=0.0)
+    for dt in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="grid_dt"):
+            one_class(grid_dt=dt)
     with pytest.raises(ValueError):
         one_class(classes=())
     with pytest.raises(ValueError):
         one_class(initial={0: "S", 1: "X", 2: "S", 3: "S", 4: "S"})
-    with pytest.raises(ValueError):
-        one_class(transient_cut=-5.0)
+    for cut in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="transient_cut"):
+            one_class(transient_cut=cut)
 
 
 def test_initial_assignment_must_cover_all_nodes():
