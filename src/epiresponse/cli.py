@@ -8,8 +8,12 @@ and writes CSV (default) or JSON into the output directory.  All commands
 are deterministic given the config and seed; reruns produce byte-identical
 files.
 
-Exit codes: 0 success; 2 configuration error (message names the offending
-key); 3 runtime error (bad input data, integration failure, no root).
+Each command is a config schema and a function that makes its engine
+call (`_COMMANDS`); `main` parses the config against the schema and maps
+errors to exit codes in one place.  Exit codes: 0 success; 3 for the
+runtime errors in `_RUNTIME_ERRORS` (bad input data, integration failure,
+no root); 2 for any other `ValueError`, i.e. a config value rejected by
+the schema or by a constructor (the message names the key or the value).
 """
 
 import argparse
@@ -65,35 +69,43 @@ from .traces import (
 __all__ = ["main"]
 
 
-_MODEL_SCHEMA = {
+# Shared schema blocks.  The `_TOL` keys are exactly the `IntegratorConfig`
+# fields they set.
+_MODEL = {
     "beta": Field("rate", required=True),
     "gamma": Field("rate", required=True),
     "delta": Field("rate", required=True),
 }
+_TOL = {
+    "t_max": Field("time", default=1e4),
+    "rel_tol": Field("float", default=1e-9),
+    "abs_tol": Field("float", default=1e-11),
+    "event_tol": Field("float", default=1e-10),
+    "equilibrium_eps": Field("float", default=1e-7),
+    "capture_spiral": Field("bool", default=True),
+}
+_START = {
+    "s0": Field("float", required=True),
+    "i0": Field("float", required=True),
+}
+_RUN = {
+    "t_max": Field("time", default=50.0),
+    "sample_dt": Field("time", default=0.1),
+    "seed": Field("int"),
+}
 
 
-def _model_from(values) -> ModelParams:
-    try:
-        return ModelParams(
-            beta=values["beta"], gamma=values["gamma"], delta=values["delta"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _pick(values, block) -> dict:
+    return {key: values[key] for key in block}
 
 
-def _state_from(values) -> State:
-    try:
-        return State(values["s0"], values["i0"])
-    except ValueError as exc:
-        raise ConfigError(f"initial state: {exc}") from None
-
-
-def _resolve_seed(values, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = values.get("seed")
+def _seed(values, args) -> int:
+    """The --seed flag, else the config key; it must be present and >= 0."""
+    seed = values["seed"] if args.seed is None else args.seed
     if seed is None:
         raise ConfigError("missing required key 'seed' (config key or --seed)")
+    if seed < 0:
+        raise ConfigError("key 'seed': must be a non-negative integer")
     return seed
 
 
@@ -119,6 +131,13 @@ def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
     _write_text(os.path.join(out_dir, f"{name}.csv"), "\n".join(lines) + "\n")
 
 
+def _axis(grid_n: int, key: str) -> list[float]:
+    """``grid_n`` evenly spaced points on [0, 1]."""
+    if grid_n < 2:
+        raise ConfigError(f"key '{key}': must be at least 2")
+    return np.linspace(0.0, 1.0, grid_n).tolist()
+
+
 def _stability_entry(params, spec, eq):
     if eq.kind is EquilibriumKind.SLIDING:
         report = stability_sliding(params, spec.i_star)
@@ -134,11 +153,8 @@ def _stability_entry(params, spec, eq):
     }
 
 
-def cmd_equilibria(text, args) -> int:
-    schema = dict(_MODEL_SCHEMA)
-    schema.update(response_schema())
-    values = parse_config(text, schema)
-    params = _model_from(values)
+def cmd_equilibria(values, args) -> int:
+    params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
     entries = []
     for eq in find_equilibria(params, spec):
@@ -155,16 +171,12 @@ def cmd_equilibria(text, args) -> int:
             entry["aux_p_ps"] = eq.aux
         entries.append(entry)
     report = {
-        "params": {"beta": params.beta, "gamma": params.gamma, "delta": params.delta},
+        "params": _pick(values, _MODEL),
         "response": response_to_config(spec),
         "equilibria": entries,
     }
     for entry in entries:
-        flags = [
-            word
-            for word, on in (("degenerate", entry["degenerate"]), ("boundary", entry["boundary"]))
-            if on
-        ]
+        flags = [word for word in ("degenerate", "boundary") if entry[word]]
         suffix = f" [{', '.join(flags)}]" if flags else ""
         print(
             f"{entry['kind']}: ({format_value(entry['s'])}, {format_value(entry['i'])})"
@@ -177,58 +189,18 @@ def cmd_equilibria(text, args) -> int:
     return 0
 
 
-_TOL_SCHEMA = {
-    "t_max": Field("time", default=1e4),
-    "rel_tol": Field("float", default=1e-9),
-    "abs_tol": Field("float", default=1e-11),
-    "event_tol": Field("float", default=1e-10),
-    "equilibrium_eps": Field("float", default=1e-7),
-    "capture_spiral": Field("bool", default=True),
-}
-
-
-def _integrator_config(values, **overrides) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(
-            rel_tol=values["rel_tol"],
-            abs_tol=values["abs_tol"],
-            t_max=values["t_max"],
-            event_tol=values["event_tol"],
-            equilibrium_eps=values["equilibrium_eps"],
-            capture_spiral=values["capture_spiral"],
-            **overrides,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def cmd_integrate(text, args) -> int:
-    schema = dict(_MODEL_SCHEMA)
-    schema.update(response_schema())
-    schema.update(_TOL_SCHEMA)
-    schema.update(
-        {
-            "s0": Field("float", required=True),
-            "i0": Field("float", required=True),
-            "field_grid_n": Field("int", default=21),
-        }
-    )
-    values = parse_config(text, schema)
-    params = _model_from(values)
+def cmd_integrate(values, args) -> int:
+    params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    x0 = _state_from(values)
-    cfg = _integrator_config(values)
-    traj = integrate(params, spec, x0, cfg)
+    x0 = State(values["s0"], values["i0"])
+    traj = integrate(params, spec, x0, IntegratorConfig(**_pick(values, _TOL)))
     rows = [(t, s, i, 1.0 - s - i) for t, (s, i) in zip(traj.times, traj.states)]
     _write_table(args.out, "trajectory", ("t", "s", "i", "p"), rows, args.format)
     event_rows = [(t, kind.value) for t, kind in traj.events]
     _write_table(args.out, "events", ("t", "event"), event_rows, args.format)
     if args.vector_field:
-        grid_n = values["field_grid_n"]
-        if grid_n < 2:
-            raise ConfigError("key 'field_grid_n': must be at least 2")
+        axis = _axis(values["field_grid_n"], "field_grid_n")
         rhs = compile_field(params, spec)
-        axis = np.linspace(0.0, 1.0, grid_n).tolist()
         field_rows = [
             (s, i, *rhs(s, i)) for s in axis for i in axis if s + i <= 1.0 + 1e-12
         ]
@@ -239,25 +211,12 @@ def cmd_integrate(text, args) -> int:
     return 0
 
 
-def cmd_basin(text, args) -> int:
-    schema = dict(_MODEL_SCHEMA)
-    schema.update(response_schema())
-    schema.update(_TOL_SCHEMA)
-    schema.update({"grid_n": Field("int", default=20)})
-    values = parse_config(text, schema)
-    params = _model_from(values)
+def cmd_basin(values, args) -> int:
+    params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    grid_n = values["grid_n"]
-    if grid_n < 2:
-        raise ConfigError("key 'grid_n': must be at least 2")
-    cfg = _integrator_config(values, store_dense=False, store_samples=False)
-    axis = np.linspace(0.0, 1.0, grid_n)
-    starts = [
-        State(float(s), float(i))
-        for s in axis
-        for i in axis
-        if s + i <= 1.0 + 1e-12
-    ]
+    axis = _axis(values["grid_n"], "grid_n")
+    starts = [State(s, i) for s in axis for i in axis if s + i <= 1.0 + 1e-12]
+    cfg = IntegratorConfig(**_pick(values, _TOL))
     labels = classify_basin(params, spec, starts, cfg)
     rows = [
         (x0.s, x0.i, labels[x0].value if labels[x0] is not None else "unresolved")
@@ -267,19 +226,7 @@ def cmd_basin(text, args) -> int:
     return 0
 
 
-def cmd_sweep_gamma(text, args) -> int:
-    schema = {
-        "beta": Field("rate", required=True),
-        "delta": Field("rate", required=True),
-        "kind": Field("choice", default="step", choices=("step", "sigmoid")),
-        "i_star": Field("float", required=True),
-        "epsilon": Field("float"),
-        "gamma_min": Field("rate", required=True),
-        "gamma_max": Field("rate", required=True),
-        "gamma_count": Field("int", default=50),
-        "log_spacing": Field("bool", default=True),
-    }
-    values = parse_config(text, schema)
+def cmd_sweep_gamma(values, args) -> int:
     if values["gamma_count"] < 2:
         raise ConfigError("key 'gamma_count': must be at least 2")
     lo, hi = values["gamma_min"], values["gamma_max"]
@@ -292,37 +239,22 @@ def cmd_sweep_gamma(text, args) -> int:
     spec = build_response(values)
     rows = []
     for gamma in grid.tolist():
+        params = ModelParams(values["beta"], gamma, values["delta"])
         # X0 comes first; an endemic or sliding point, when present, last.
-        eq = find_equilibria(_model_from({**values, "gamma": gamma}), spec)[-1]
+        eq = find_equilibria(params, spec)[-1]
         rows.append((gamma, eq.point.i, eq.kind.value))
     _write_table(args.out, "sweep", ("gamma", "i_eq", "kind"), rows, args.format)
     return 0
 
 
-def cmd_simulate(text, args) -> int:
-    schema = dict(_MODEL_SCHEMA)
-    schema.update(response_schema())
-    schema.update(
-        {
-            "n": Field("int", required=True),
-            "s0": Field("float", required=True),
-            "i0": Field("float", required=True),
-            "t_max": Field("time", default=50.0),
-            "sample_dt": Field("time", default=0.1),
-            "seed": Field("int"),
-        }
-    )
-    values = parse_config(text, schema)
-    params = _model_from(values)
+def cmd_simulate(values, args) -> int:
+    params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    seed = _resolve_seed(values, args)
-    try:
-        pop0 = AgentPopulation.from_fractions(values["n"], values["s0"], values["i0"])
-        run = simulate_ctmc(
-            params, spec, pop0, values["t_max"], seed, sample_dt=values["sample_dt"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    seed = _seed(values, args)
+    pop0 = AgentPopulation.from_fractions(values["n"], values["s0"], values["i0"])
+    run = simulate_ctmc(
+        params, spec, pop0, values["t_max"], seed, sample_dt=values["sample_dt"]
+    )
     rows = [
         (t, int(ns), int(ni), int(np_), seed)
         for t, (ns, ni, np_) in zip(run.times, run.counts)
@@ -333,38 +265,20 @@ def cmd_simulate(text, args) -> int:
     return 0
 
 
-def cmd_converge(text, args) -> int:
-    schema = dict(_MODEL_SCHEMA)
-    schema.update(response_schema())
-    schema.update(
-        {
-            "n_list": Field("int_list", required=True),
-            "runs_per_n": Field("int", default=20),
-            "s0": Field("float", required=True),
-            "i0": Field("float", required=True),
-            "t_max": Field("time", default=50.0),
-            "sample_dt": Field("time", default=0.1),
-            "seed": Field("int"),
-        }
-    )
-    values = parse_config(text, schema)
-    params = _model_from(values)
+def cmd_converge(values, args) -> int:
+    params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    x0 = _state_from(values)
-    seed = _resolve_seed(values, args)
-    try:
-        table = convergence_study(
-            params,
-            spec,
-            x0,
-            values["n_list"],
-            runs_per_n=values["runs_per_n"],
-            t_max=values["t_max"],
-            seed=seed,
-            sample_dt=values["sample_dt"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    x0 = State(values["s0"], values["i0"])
+    table = convergence_study(
+        params,
+        spec,
+        x0,
+        values["n_list"],
+        runs_per_n=values["runs_per_n"],
+        t_max=values["t_max"],
+        seed=_seed(values, args),
+        sample_dt=values["sample_dt"],
+    )
     rows = [(row.n, row.mean_error, row.std_error, row.runs) for row in table]
     _write_table(
         args.out,
@@ -376,86 +290,63 @@ def cmd_converge(text, args) -> int:
     return 0
 
 
-def cmd_trace(text, args) -> int:
-    schema = {
-        "gamma": Field("rate", required=True),
-        "delta": Field("rate", required=True),
-        "i_star": Field("float", required=True),
-        "epsilon": Field("float", required=True),
-        "i_star2": Field("float"),
-        "epsilon2": Field("float"),
-        "split": Field("float"),
-        "runs": Field("int", default=30),
-        "transient_cut": Field("time"),
-        "grid_dt": Field("time", default=60.0),
-        "infected_nodes": Field("int_list"),
-        "protected_nodes": Field("int_list"),
-        "seed": Field("int"),
-    }
-    values = parse_config(text, schema)
-    seed = _resolve_seed(values, args)
+def cmd_trace(values, args) -> int:
+    seed = _seed(values, args)
     with open(args.trace) as handle:
         trace = parse_trace(handle)
 
-    try:
-        two_class = values["i_star2"] is not None
-        if two_class:
-            if values["epsilon2"] is None:
-                raise ConfigError("missing required key 'epsilon2' for two classes")
-            if values["split"] is None:
-                raise ConfigError("missing required key 'split' for two classes")
-            split = values["split"]
-            if not (0.0 < split < 1.0):
-                raise ConfigError("key 'split': must lie strictly between 0 and 1")
-            classes = (
-                ClassSpec(split, SigmoidResponse(values["i_star"], values["epsilon"])),
-                ClassSpec(
-                    1.0 - split,
-                    SigmoidResponse(values["i_star2"], values["epsilon2"]),
-                ),
-            )
-            n1 = round(split * trace.n_nodes)
-            n1 = min(max(n1, 1), trace.n_nodes - 1)
-            assignment = {
-                nid: (0 if k < n1 else 1) for k, nid in enumerate(trace.node_ids)
-            }
-        else:
-            for key in ("epsilon2", "split"):
-                if values[key] is not None:
-                    raise ConfigError(f"key '{key}' requires 'i_star2'")
-            classes = (
-                ClassSpec(1.0, SigmoidResponse(values["i_star"], values["epsilon"])),
-            )
-            assignment = None
-
-        infected = values["infected_nodes"] or (trace.node_ids[0],)
-        protected = values["protected_nodes"] or ()
-        unknown = [n for n in (*infected, *protected) if n not in trace.node_ids]
-        if unknown:
-            raise ConfigError(
-                f"key 'infected_nodes': unknown node ids {sorted(set(unknown))}"
-            )
-        initial = {nid: "S" for nid in trace.node_ids}
-        for nid in protected:
-            initial[nid] = "P"
-        for nid in infected:
-            initial[nid] = "I"
-
-        exp = TraceExperiment(
-            gamma=values["gamma"],
-            delta=values["delta"],
-            classes=classes,
-            initial=initial,
-            class_assignment=assignment,
-            runs=values["runs"],
-            transient_cut=values["transient_cut"],
-            grid_dt=values["grid_dt"],
+    if values["i_star2"] is not None:
+        if values["epsilon2"] is None:
+            raise ConfigError("missing required key 'epsilon2' for two classes")
+        if values["split"] is None:
+            raise ConfigError("missing required key 'split' for two classes")
+        split = values["split"]
+        if not (0.0 < split < 1.0):
+            raise ConfigError("key 'split': must lie strictly between 0 and 1")
+        classes = (
+            ClassSpec(split, SigmoidResponse(values["i_star"], values["epsilon"])),
+            ClassSpec(
+                1.0 - split,
+                SigmoidResponse(values["i_star2"], values["epsilon2"]),
+            ),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        n1 = round(split * trace.n_nodes)
+        n1 = min(max(n1, 1), trace.n_nodes - 1)
+        assignment = {
+            nid: (0 if k < n1 else 1) for k, nid in enumerate(trace.node_ids)
+        }
+    else:
+        for key in ("epsilon2", "split"):
+            if values[key] is not None:
+                raise ConfigError(f"key '{key}' requires 'i_star2'")
+        classes = (
+            ClassSpec(1.0, SigmoidResponse(values["i_star"], values["epsilon"])),
+        )
+        assignment = None
 
+    infected = values["infected_nodes"] or (trace.node_ids[0],)
+    protected = values["protected_nodes"] or ()
+    unknown = [n for n in (*infected, *protected) if n not in trace.node_ids]
+    if unknown:
+        raise ConfigError(
+            f"key 'infected_nodes': unknown node ids {sorted(set(unknown))}"
+        )
+    initial = {nid: "S" for nid in trace.node_ids}
+    for nid in protected:
+        initial[nid] = "P"
+    for nid in infected:
+        initial[nid] = "I"
+
+    exp = TraceExperiment(
+        gamma=values["gamma"],
+        delta=values["delta"],
+        classes=classes,
+        initial=initial,
+        class_assignment=assignment,
+        runs=values["runs"],
+        transient_cut=values["transient_cut"],
+        grid_dt=values["grid_dt"],
+    )
     result = run_trace_experiment(trace, exp, seed)
     header = ["t", "s_total", "i_total"]
     for c in range(len(classes)):
@@ -467,15 +358,88 @@ def cmd_trace(text, args) -> int:
     return 0
 
 
+_RESPONSE = response_schema()
+
+# name -> (config schema, command); a schema's key order is the order in
+# which missing or malformed keys are reported.
 _COMMANDS = {
-    "equilibria": cmd_equilibria,
-    "integrate": cmd_integrate,
-    "basin": cmd_basin,
-    "sweep-gamma": cmd_sweep_gamma,
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "trace": cmd_trace,
+    "equilibria": ({**_MODEL, **_RESPONSE}, cmd_equilibria),
+    "integrate": (
+        {
+            **_MODEL,
+            **_RESPONSE,
+            **_TOL,
+            **_START,
+            "field_grid_n": Field("int", default=21),
+        },
+        cmd_integrate,
+    ),
+    "basin": (
+        {**_MODEL, **_RESPONSE, **_TOL, "grid_n": Field("int", default=20)},
+        cmd_basin,
+    ),
+    "sweep-gamma": (
+        {
+            "beta": Field("rate", required=True),
+            "delta": Field("rate", required=True),
+            "kind": Field("choice", default="step", choices=("step", "sigmoid")),
+            "i_star": Field("float", required=True),
+            "epsilon": Field("float"),
+            "gamma_min": Field("rate", required=True),
+            "gamma_max": Field("rate", required=True),
+            "gamma_count": Field("int", default=50),
+            "log_spacing": Field("bool", default=True),
+        },
+        cmd_sweep_gamma,
+    ),
+    "simulate": (
+        {**_MODEL, **_RESPONSE, "n": Field("int", required=True), **_START, **_RUN},
+        cmd_simulate,
+    ),
+    "converge": (
+        {
+            **_MODEL,
+            **_RESPONSE,
+            "n_list": Field("int_list", required=True),
+            "runs_per_n": Field("int", default=20),
+            **_START,
+            **_RUN,
+        },
+        cmd_converge,
+    ),
+    "trace": (
+        {
+            "gamma": Field("rate", required=True),
+            "delta": Field("rate", required=True),
+            "i_star": Field("float", required=True),
+            "epsilon": Field("float", required=True),
+            "i_star2": Field("float"),
+            "epsilon2": Field("float"),
+            "split": Field("float"),
+            "runs": Field("int", default=30),
+            "transient_cut": Field("time"),
+            "grid_dt": Field("time", default=60.0),
+            "infected_nodes": Field("int_list"),
+            "protected_nodes": Field("int_list"),
+            "seed": Field("int"),
+        },
+        cmd_trace,
+    ),
 }
+
+# Runtime failures of valid input: exit 3.  Any other ValueError is a
+# config value the schema parsed but a constructor rejected: exit 2.
+_RUNTIME_ERRORS = (
+    ParseError,
+    EmptyTraceError,
+    NoRootError,
+    NoDecisionPressure,
+    HypothesisViolated,
+    StepUnderflowError,
+    LeftDomainError,
+    DomainError,
+    OSError,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -506,6 +470,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    schema, run = _COMMANDS[args.command]
     try:
         try:
             with open(args.config) as handle:
@@ -513,23 +478,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](text, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ParseError,
-        EmptyTraceError,
-        NoRootError,
-        NoDecisionPressure,
-        HypothesisViolated,
-        StepUnderflowError,
-        LeftDomainError,
-        DomainError,
-        OSError,
-    ) as exc:
+        return run(parse_config(text, schema), args)
+    except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

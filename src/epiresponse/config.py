@@ -32,7 +32,6 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "format_value",
-    "RESPONSE_KEYS",
     "response_schema",
     "build_response",
     "response_to_config",
@@ -206,33 +205,21 @@ def serialize_config(values: dict) -> str:
 # ---------------------------------------------------------------------------
 # Behavioural-response sub-schema shared by several commands.
 
-RESPONSE_KEYS = (
-    "kind",
-    "i_star",
-    "epsilon",
-    "p_sp",
-    "p_ps",
-    "knots",
-    "p_sp_values",
-    "p_ps_values",
-)
-
-_KIND_KEYS = {
-    "step": ("i_star",),
-    "sigmoid": ("i_star", "epsilon"),
-    "constant": ("p_sp", "p_ps"),
-    "tabulated": ("knots", "p_sp_values", "p_ps_values"),
+# kind -> (response class, {config key: field name})
+_KINDS = {
+    "step": (StepResponse, {"i_star": "i_star"}),
+    "sigmoid": (SigmoidResponse, {"i_star": "i_star", "epsilon": "epsilon"}),
+    "constant": (ConstantResponse, {"p_sp": "p_sp", "p_ps": "p_ps"}),
+    "tabulated": (
+        TabulatedResponse,
+        {"knots": "knots", "p_sp_values": "p_sp", "p_ps_values": "p_ps"},
+    ),
 }
 
 
-def response_schema(default_kind: str | None = None) -> dict:
+def response_schema() -> dict:
     return {
-        "kind": Field(
-            "choice",
-            required=default_kind is None,
-            default=default_kind,
-            choices=("step", "sigmoid", "constant", "tabulated"),
-        ),
+        "kind": Field("choice", required=True, choices=tuple(_KINDS)),
         "i_star": Field("float"),
         "epsilon": Field("float"),
         "p_sp": Field("float"),
@@ -247,41 +234,23 @@ def build_response(values: dict) -> ResponseSpec:
     """Assemble a response from resolved config values, rejecting keys
     that do not apply to the chosen kind."""
     kind = values["kind"]
-    needed = _KIND_KEYS[kind]
-    for key in RESPONSE_KEYS[1:]:
-        if values.get(key) is not None and key not in needed:
-            raise ConfigError(f"key '{key}' does not apply to kind '{kind}'")
-    for key in needed:
+    cls, keys = _KINDS[kind]
+    for _, other in _KINDS.values():
+        for key in other:
+            if values.get(key) is not None and key not in keys:
+                raise ConfigError(f"key '{key}' does not apply to kind '{kind}'")
+    for key in keys:
         if values.get(key) is None:
             raise ConfigError(f"missing required key '{key}' for kind '{kind}'")
     try:
-        if kind == "step":
-            return StepResponse(i_star=values["i_star"])
-        if kind == "sigmoid":
-            return SigmoidResponse(i_star=values["i_star"], epsilon=values["epsilon"])
-        if kind == "constant":
-            return ConstantResponse(p_sp=values["p_sp"], p_ps=values["p_ps"])
-        return TabulatedResponse(
-            knots=values["knots"],
-            p_sp=values["p_sp_values"],
-            p_ps=values["p_ps_values"],
-        )
+        return cls(**{name: values[key] for key, name in keys.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid response: {exc}") from None
 
 
 def response_to_config(spec: ResponseSpec) -> dict:
-    if isinstance(spec, StepResponse):
-        return {"kind": "step", "i_star": spec.i_star}
-    if isinstance(spec, SigmoidResponse):
-        return {"kind": "sigmoid", "i_star": spec.i_star, "epsilon": spec.epsilon}
-    if isinstance(spec, ConstantResponse):
-        return {"kind": "constant", "p_sp": spec.p_sp, "p_ps": spec.p_ps}
-    if isinstance(spec, TabulatedResponse):
-        return {
-            "kind": "tabulated",
-            "knots": spec.knots,
-            "p_sp_values": spec.p_sp,
-            "p_ps_values": spec.p_ps,
-        }
+    for kind, (cls, keys) in _KINDS.items():
+        if isinstance(spec, cls):
+            fields = {key: getattr(spec, name) for key, name in keys.items()}
+            return {"kind": kind, **fields}
     raise TypeError(f"unsupported response {type(spec).__name__}")

@@ -159,6 +159,8 @@ def simulate_ctmc(
     n_s, n_i, n_p = pop0.counts
     total = beta + gamma + delta
     lam = n * total
+    if math.isinf(lam):  # the clock would never advance
+        raise ValueError("total event rate n * (beta + gamma + delta) overflows")
     p_meet = beta / total
     p_meet_update = (beta + gamma) / total
     inv_n = 1.0 / n
@@ -280,6 +282,8 @@ def convergence_study(
         raise ValueError("n_list must be strictly increasing")
     if runs_per_n < 1:
         raise ValueError("runs_per_n must be positive")
+    if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
+        raise ValueError("sample_dt must be positive and finite")
     grid = uniform_grid(t_max, sample_dt)
     reference = _reference_on_grid(params, spec, x0, grid, t_max)
     rows = []

@@ -158,8 +158,11 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
     if i1 < i_star:
         out.append(Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1)))
     else:
-        # i_star <= i1 guarantees 1 - delta/beta - i_star > 0 and gamma > 0.
-        aux = delta * i_star / (gamma * (1.0 - s_eq - i_star))
+        # i_star <= i1 < 1 - delta/beta makes the denominator positive, but
+        # i1 rounds to 1 - delta/beta when delta << gamma; there (and on
+        # underflow) aux takes its value on the boundary i_star = i1, 1.
+        den = gamma * (1.0 - s_eq - i_star)
+        aux = delta * i_star / den if den > 0.0 else 1.0
         out.append(
             Equilibrium(
                 EquilibriumKind.SLIDING,

@@ -239,21 +239,32 @@ def _make_rhs(params: ModelParams, spec: ResponseSpec, regime: str):
     return compile_field(params, spec)
 
 
+def _rms(a: float, b: float) -> float:
+    """sqrt((a^2 + b^2) / 2); inf where a square overflows."""
+    try:
+        return math.sqrt(0.5 * (a**2 + b**2))
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(rhs, s, i, fs, fi, rel_tol, abs_tol, t_left):
+    """First step size; 0.0 when none is representable, which the caller
+    reports as a step underflow."""
     scale_s = abs_tol + rel_tol * abs(s)
     scale_i = abs_tol + rel_tol * abs(i)
-    d0 = math.sqrt(0.5 * ((s / scale_s) ** 2 + (i / scale_i) ** 2))
-    d1 = math.sqrt(0.5 * ((fs / scale_s) ** 2 + (fi / scale_i) ** 2))
+    d0 = _rms(s / scale_s, i / scale_i)
+    d1 = _rms(fs / scale_s, fi / scale_i)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_left)
+    if not h0 > 0.0:  # d0 / d1 underflowed, or was inf / inf
+        return 0.0
     gs, gi = rhs(s + h0 * fs, i + h0 * fi)
-    d2 = (
-        math.sqrt(0.5 * (((gs - fs) / scale_s) ** 2 + ((gi - fi) / scale_i) ** 2)) / h0
-    )
+    d2 = _rms((gs - fs) / scale_s, (gi - fi) / scale_i) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        # the 1e-15 floor only acts when d2 is nan
+        h1 = (0.01 / max(d1, d2, 1e-15)) ** 0.2
     return min(100 * h0, h1, t_left)
 
 
@@ -375,7 +386,8 @@ def integrate(
         return build(TerminationReason.EQUILIBRIUM)
 
     h = _initial_step(rhs, s, i, fs, fi, cfg.rel_tol, cfg.abs_tol, cfg.t_max)
-    min_step = 1e-14 * cfg.t_max
+    # At least the smallest double: a step of 0 never advances t.
+    min_step = max(1e-14 * cfg.t_max, math.ulp(0.0))
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     t_max = cfg.t_max
     event_tol = cfg.event_tol
@@ -417,7 +429,10 @@ def integrate(
         )
         scale_s = abs_tol + rel_tol * max(abs(s), abs(s1))
         scale_i = abs_tol + rel_tol * max(abs(i), abs(i1))
-        err = math.sqrt(0.5 * ((err_s / scale_s) ** 2 + (err_i / scale_i) ** 2))
+        try:  # _rms, inlined: this is the hot loop
+            err = math.sqrt(0.5 * ((err_s / scale_s) ** 2 + (err_i / scale_i) ** 2))
+        except OverflowError:
+            err = math.inf
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
@@ -461,6 +476,8 @@ def integrate(
             ua, ub = crossed
             while (ub - ua) * h > event_tol:
                 um = 0.5 * (ua + ub)
+                if not ua < um < ub:
+                    break  # adjacent doubles: event_tol is below round-off
                 g = i + h * um * (qi1 + um * (qi2 + um * (qi3 + um * qi4))) - i_star
                 if (g > 0.0) if want_positive else (g < 0.0):
                     ub = um

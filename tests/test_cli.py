@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiresponse.cli import main
 from epiresponse.config import format_value
@@ -162,11 +163,13 @@ def test_basin_subcritical_all_disease_free(tmp_path):
     assert {row[2] for row in rows} == {"disease_free"}
 
 
-@pytest.mark.parametrize("command", ["equilibria", "basin"])
+@pytest.mark.parametrize("command", ["equilibria", "basin", "converge"])
 def test_response_without_decision_pressure_exits_3(tmp_path, capsys, command):
     cfg = "beta = 1\ngamma = 1\ndelta = 0.5\nkind = constant\np_sp = 0\np_ps = 0\n"
     if command == "basin":
         cfg += "grid_n = 3\n"
+    if command == "converge":
+        cfg += "n_list = 10\nruns_per_n = 1\ns0 = 0.9\ni0 = 0.1\nt_max = 1\nseed = 1\n"
     code, _ = run(tmp_path, command, cfg)
     assert code == 3
     err = capsys.readouterr().err
@@ -389,3 +392,155 @@ def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
     assert code == 0
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digest == PINNED_SHA256[(command, name)]
+
+
+# --------------------------------------------------------------------- seeds
+
+SEEDED = {
+    "simulate": (SIM_CFG, ()),
+    "converge": (CONFIGS["converge"], ()),
+    "trace": (TRACE_CFG, (str(FIXTURE),)),
+}
+
+
+@pytest.mark.parametrize("source", ["key", "flag"])
+@pytest.mark.parametrize("command", sorted(SEEDED))
+def test_negative_seed_names_the_key(tmp_path, capsys, command, source):
+    cfg, extra = SEEDED[command]
+    if source == "key":
+        cfg = "".join(
+            line + "\n" for line in cfg.splitlines() if not line.startswith("seed")
+        )
+        cfg += "seed = -1\n"
+    else:
+        extra = ("--seed", "-1", *extra)
+    code, _ = run(tmp_path, command, cfg, *extra)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'seed': must be a non-negative integer\n"
+    )
+
+
+def test_trace_transient_cut_past_the_span_exits_2(tmp_path, capsys):
+    # the fixture's contacts end at t = 2410 s
+    code, _ = run(tmp_path, "trace", TRACE_CFG + "transient_cut = 2500\n", str(FIXTURE))
+    assert code == 2
+    assert "transient_cut" in capsys.readouterr().err
+
+
+# ------------------------------------------------ every config ends in 0/2/3
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Any finite float, one draw in four; the others lie in [0, 1], so that
+# most configs get past validation into the engines.
+NUMBER = st.integers(0, 3).flatmap(lambda k: FINITE if k == 0 else st.floats(0.0, 1.0))
+# Rate x time, the expected clock events per agent: the work bound on
+# every command with a time horizon.
+HORIZON = 15.0
+SPAN = 2410.0  # the fixture's last contact ends here
+
+
+def _response(draw, kinds=("step", "sigmoid", "constant", "tabulated")):
+    kind = draw(st.sampled_from(kinds))
+    cfg = {"kind": kind}
+    if kind in ("step", "sigmoid"):
+        cfg["i_star"] = draw(NUMBER)
+    if kind == "sigmoid":
+        cfg["epsilon"] = draw(NUMBER)
+    if kind == "constant":
+        cfg["p_sp"], cfg["p_ps"] = draw(NUMBER), draw(NUMBER)
+    if kind == "tabulated":
+        size = draw(st.integers(2, 4))
+        column = st.lists(NUMBER, min_size=size, max_size=size).map(sorted)
+        cfg["knots"], cfg["p_sp_values"] = draw(column), draw(column)
+        cfg["p_ps_values"] = draw(column)[::-1]
+    return cfg
+
+
+def _horizon(draw, cfg, rates):
+    """A t_max in (0, 5], shortened so that t_max * (sum of rates) stays
+    within HORIZON."""
+    total = sum(abs(cfg[key]) for key in rates)
+    t_max = draw(st.floats(0.0, 5.0, exclude_min=True))
+    return min(t_max, HORIZON / total) if total > 0.0 else t_max
+
+
+def _optional(draw, cfg, key, strategy):
+    if draw(st.booleans()):
+        cfg[key] = draw(strategy)
+
+
+def _config(draw, command):
+    if command == "sweep-gamma":
+        cfg = {"beta": draw(NUMBER), "delta": draw(NUMBER)}
+        cfg.update(_response(draw, kinds=("step", "sigmoid")))
+        cfg["gamma_min"], cfg["gamma_max"] = sorted((draw(NUMBER), draw(NUMBER)))
+        _optional(draw, cfg, "gamma_count", st.integers(-1, 6))
+        _optional(draw, cfg, "log_spacing", st.booleans())
+        return cfg
+    if command == "trace":
+        cap = HORIZON / SPAN  # work: runs * nodes * (gamma + delta) * span
+        rate = st.integers(0, 3).flatmap(
+            lambda k: st.floats(max_value=cap) if k == 0 else st.floats(0.0, cap)
+        )
+        cfg = {"gamma": draw(rate), "delta": draw(rate)}
+        cfg["i_star"], cfg["epsilon"] = draw(NUMBER), draw(NUMBER)
+        if draw(st.booleans()):
+            cfg["i_star2"], cfg["epsilon2"] = draw(NUMBER), draw(NUMBER)
+            cfg["split"] = draw(NUMBER)
+        _optional(draw, cfg, "runs", st.integers(-1, 3))
+        _optional(draw, cfg, "transient_cut", NUMBER.map(lambda x: x * SPAN))
+        cfg["grid_dt"] = draw(st.floats(SPAN / 500, SPAN))  # <= 501 grid points
+        nodes = st.lists(st.integers(-1, 5), min_size=1, max_size=3)
+        _optional(draw, cfg, "infected_nodes", nodes)
+        _optional(draw, cfg, "protected_nodes", nodes)
+        cfg["seed"] = draw(st.integers(-1, 2**32))
+        return cfg
+    cfg = {"beta": draw(NUMBER), "gamma": draw(NUMBER), "delta": draw(NUMBER)}
+    cfg.update(_response(draw))
+    if command == "equilibria":
+        return cfg
+    t_max = _horizon(draw, cfg, ("beta", "gamma", "delta"))
+    if command in ("integrate", "basin"):
+        cfg["t_max"] = t_max
+        for key in ("rel_tol", "abs_tol", "event_tol", "equilibrium_eps"):
+            _optional(draw, cfg, key, NUMBER)
+        cfg["capture_spiral"] = draw(st.booleans())
+        if command == "basin":
+            cfg["grid_n"] = draw(st.integers(0, 6))
+            return cfg
+        cfg["s0"], cfg["i0"] = draw(NUMBER), draw(NUMBER)
+        _optional(draw, cfg, "field_grid_n", st.integers(0, 6))
+        return cfg
+    cfg["s0"], cfg["i0"] = draw(NUMBER), draw(NUMBER)
+    cfg["t_max"] = t_max
+    cfg["sample_dt"] = draw(st.floats(t_max / 500, t_max))  # <= 501 grid points
+    cfg["seed"] = draw(st.integers(-1, 2**32))
+    if command == "simulate":
+        cfg["n"] = draw(st.integers(-1, 200))
+        return cfg
+    sizes = st.lists(st.integers(-1, 200), min_size=1, max_size=3, unique=True)
+    cfg["n_list"] = sorted(draw(sizes))
+    cfg["runs_per_n"] = draw(st.integers(-1, 3))
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(CONFIGS)))
+def test_every_schema_valid_config_exits_0_2_or_3(tmp_path_factory, data, command):
+    """Every config the schema parses ends in exit 0, 2 or 3, never in an
+    exception.  Values are any finite floats; only the work is bounded:
+    n <= 200, t_max <= 5 and t_max * (|beta| + |gamma| + |delta|) <= 15, at most
+    501 grid points, grid_n and field_grid_n <= 6, runs and runs_per_n <= 3,
+    gamma_count <= 6, and trace replays the fixture with
+    (gamma + delta) * 2410 s <= 15."""
+    cfg = _config(data.draw, command)
+    text = "".join(f"{key} = {format_value(value)}\n" for key, value in cfg.items())
+    extra = []
+    if command == "integrate" and data.draw(st.booleans()):
+        extra.append("--vector-field")
+    if command == "trace":
+        extra.append(str(FIXTURE))
+    tmp = tmp_path_factory.mktemp(command)
+    code, _ = run(tmp, command, text, *extra)
+    assert code in (0, 2, 3)

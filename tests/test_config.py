@@ -188,7 +188,6 @@ def test_build_response_surfaces_model_validation():
 
 
 def test_response_schema_default_kind():
-    values = parse_config("i_star = 0.3\nepsilon = 0.01", response_schema("sigmoid"))
-    assert build_response(values) == SigmoidResponse(0.3, 0.01)
+    # kind has no default: a response config must name it
     with pytest.raises(ConfigError, match="missing required key 'kind'"):
         parse_config("i_star = 0.3", response_schema())

@@ -57,6 +57,20 @@ def test_simulate_argument_validation():
     for dt in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sample_dt"):
             simulate_ctmc(FIG, StepResponse(0.2), pop, t_max=1.0, seed=0, sample_dt=dt)
+    # 10 * 1.8e308 is inf: every clock gap would be 0
+    huge = ModelParams(beta=1.7976931348623157e308, gamma=1.0, delta=0.5)
+    with pytest.raises(ValueError, match="overflows"):
+        simulate_ctmc(huge, StepResponse(0.2), pop, t_max=1e-307, seed=0, sample_dt=1e-308)
+
+
+def test_convergence_study_rejects_bad_sample_dt_before_building_its_grid():
+    # sample_dt = 0 once reached the grid formula's division first
+    for dt in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample_dt"):
+            convergence_study(
+                FIG, StepResponse(0.2), State(0.9, 0.1), [10], runs_per_n=1,
+                t_max=1.0, sample_dt=dt,
+            )
 
 
 # ----------------------------------------------------------- reproducibility

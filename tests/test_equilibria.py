@@ -94,6 +94,16 @@ def test_boundary_flag_when_kinds_coincide():
     assert eqs[1].boundary
 
 
+def test_boundary_aux_when_i1_rounds_to_the_line_end():
+    # delta << gamma: I1 = gamma*(1 - delta/beta)/(gamma + delta) rounds to
+    # 1 = 1 - delta/beta, so the aux denominator 1 - delta/beta - i_star is 0
+    p = ModelParams(beta=1.0, gamma=0.5, delta=1.1125369292536007e-308)
+    x0, x2 = find_equilibria_step(p, 1.0)
+    assert x2.kind is EquilibriumKind.SLIDING
+    assert x2.boundary
+    assert x2.aux == 1.0
+
+
 @given(rates, rates, rates, st.floats(1e-3, 1.0))
 def test_step_partition_is_exhaustive_and_exclusive(beta, gamma, delta, i_star):
     p = ModelParams(beta, gamma, delta)

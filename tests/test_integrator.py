@@ -8,6 +8,7 @@ from epiresponse.integrator import (
     DomainError,
     EventKind,
     IntegratorConfig,
+    StepUnderflowError,
     TerminationReason,
     Trajectory,
     classify_basin,
@@ -50,6 +51,28 @@ def test_config_validation():
 
 
 # ------------------------------------------------------------ smooth flows
+
+
+# Finite inputs on which the first step size or the error norm once raised
+# OverflowError (a square of a huge ratio) or ZeroDivisionError (a first
+# step that underflowed to 0), or on which a step of exactly 0 looped
+# forever (t_max so small that 1e-14 * t_max is 0).
+@pytest.mark.parametrize(
+    "params, x0, cfg",
+    [
+        (FIG, State(0.9, 0.05), IntegratorConfig(t_max=30, rel_tol=1e-300, abs_tol=1e-300)),
+        (ModelParams(1e-300, 1e-300, 1e300), State(0.9, 0.05), IntegratorConfig(t_max=30)),
+        (ModelParams(1e-9, 1.0, 1e300), State(1e-9, 1e-300), IntegratorConfig(t_max=30)),
+        (
+            ModelParams(0.25, 0.25, 2.6e191),
+            State(0.0, 1.0 / 3.0),
+            IntegratorConfig(t_max=5e-324, event_tol=2.6e191, capture_spiral=False),
+        ),
+    ],
+)
+def test_unrepresentable_steps_raise_step_underflow(params, x0, cfg):
+    with pytest.raises(StepUnderflowError):
+        integrate(params, StepResponse(0.2), x0, cfg)
 
 
 def test_plain_sir_peaks_at_recovery_ratio():
@@ -134,6 +157,15 @@ def test_crossings_alternate_and_land_exactly_on_threshold():
     for t, _ in cs:
         s, i = state_at(traj, t)
         assert i == 0.2  # crossing states are pinned to the line exactly
+
+
+def test_event_tol_below_round_off_still_terminates():
+    # 1e-20 is below the spacing of doubles near a crossing time: the
+    # bisection stops at adjacent doubles instead of looping forever
+    cfg = IntegratorConfig(t_max=30.0, event_tol=1e-20)
+    traj = integrate(FIG, StepResponse(0.2), State(0.9, 0.05), cfg)
+    assert traj.reason is TerminationReason.EQUILIBRIUM
+    assert crossings(traj)[0][1] is EventKind.CROSS_UP
 
 
 def test_crossing_radii_follow_one_sided_coefficients():
