@@ -99,6 +99,17 @@ def _pick(values, block) -> dict:
     return {key: values[key] for key in block}
 
 
+def _start(values) -> State:
+    """The `_START` block as a point of the unit simplex."""
+    try:
+        return State(values["s0"], values["i0"])
+    except ValueError:
+        raise ConfigError(
+            f"keys 's0', 'i0': ({values['s0']}, {values['i0']}) lies outside "
+            "the unit simplex s0, i0 >= 0, s0 + i0 <= 1"
+        ) from None
+
+
 def _seed(values, args) -> int:
     """The --seed flag, else the config key; it must be present and >= 0."""
     seed = values["seed"] if args.seed is None else args.seed
@@ -192,7 +203,7 @@ def cmd_equilibria(values, args) -> int:
 def cmd_integrate(values, args) -> int:
     params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    x0 = State(values["s0"], values["i0"])
+    x0 = _start(values)
     traj = integrate(params, spec, x0, IntegratorConfig(**_pick(values, _TOL)))
     rows = [(t, s, i, 1.0 - s - i) for t, (s, i) in zip(traj.times, traj.states)]
     _write_table(args.out, "trajectory", ("t", "s", "i", "p"), rows, args.format)
@@ -251,7 +262,8 @@ def cmd_simulate(values, args) -> int:
     params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
     seed = _seed(values, args)
-    pop0 = AgentPopulation.from_fractions(values["n"], values["s0"], values["i0"])
+    x0 = _start(values)
+    pop0 = AgentPopulation.from_fractions(values["n"], x0.s, x0.i)
     run = simulate_ctmc(
         params, spec, pop0, values["t_max"], seed, sample_dt=values["sample_dt"]
     )
@@ -268,11 +280,10 @@ def cmd_simulate(values, args) -> int:
 def cmd_converge(values, args) -> int:
     params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    x0 = State(values["s0"], values["i0"])
     table = convergence_study(
         params,
         spec,
-        x0,
+        _start(values),
         values["n_list"],
         runs_per_n=values["runs_per_n"],
         t_max=values["t_max"],

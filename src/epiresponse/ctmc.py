@@ -22,12 +22,18 @@ Randomness is consumed in a fixed pattern (one gap and three uniforms per
 event, drawn in blocks), which makes runs bit-identical for a given seed
 across platforms.
 
+A run logs the time of every realized jump, one log per row of
+`sampling.MOVES`, and `sampling.counts_on_grid` turns the logs into grid
+samples afterwards, as trace replay does.  The transition tallies and the
+occupation integrals follow from the same logs, so every run returns them.
+
 The response is evaluated through `model.compile_response`, the scalar
 kernel shared with the integrator and the trace engine; at a step
 threshold it takes the canonical selection (p_SP, p_PS) = (0, 1).
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +45,7 @@ from .model import (
     State,
     compile_response,
 )
-from .sampling import uniform_grid
+from .sampling import MAX_CLOCK_EVENTS, MOVES, counts_on_grid, uniform_grid
 
 __all__ = [
     "AgentPopulation",
@@ -52,14 +58,8 @@ __all__ = [
 
 _BLOCK = 1 << 16
 
-# Transitions the event logic can produce, as (dS, dI, dP) jumps.
-_ALLOWED_JUMPS = {
-    (0, 0, 0),
-    (-1, 1, 0),   # infection
-    (-1, 0, 1),   # S protects
-    (1, 0, -1),   # P unprotects
-    (0, -1, 1),   # disinfection
-}
+# The names of the rows of MOVES in `SimRun.transition_counts`.
+_TRANSITIONS = ("infect", "protect", "unprotect", "recover")
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,9 @@ class AgentPopulation:
     @classmethod
     def from_fractions(cls, n: int, s0: float, i0: float) -> "AgentPopulation":
         """Round fractions to counts; the susceptible count absorbs the
-        (at most one agent of) rounding excess."""
-        if s0 < 0.0 or i0 < 0.0 or s0 + i0 > 1.0 + 1e-12:
-            raise ValueError(f"fractions ({s0}, {i0}) outside the simplex")
+        (at most one agent of) rounding excess.  ``(s0, i0)`` must be a
+        `State`, i.e. lie in the unit simplex."""
+        State(s0, i0)
         n_s = round(s0 * n)
         n_i = round(i0 * n)
         excess = n_s + n_i - n
@@ -106,10 +106,10 @@ class SimRun:
     """One simulated path, sampled on a uniform grid.
 
     ``counts[k]`` is the population state at ``times[k]`` (the state is
-    piecewise constant between events).  When the run was made with
-    ``audit=True``, ``transition_counts`` holds the tally of realized
-    jumps and ``occupation`` the exact time-integrals of (n_S, n_I, n_P),
-    for rate/compensator checks.
+    piecewise constant between events).  ``transition_counts`` holds the
+    tally of realized jumps by type and ``occupation`` the time-integrals
+    of (n_S, n_I, n_P) over [0, final_t], for rate/compensator checks;
+    `simulate_ctmc` always fills both, from its jump logs.
     """
 
     seed: object
@@ -141,13 +141,14 @@ def simulate_ctmc(
     t_max: float,
     seed,
     sample_dt: float = 0.1,
-    audit: bool = False,
 ) -> SimRun:
     """Run the jump process from ``pop0`` until ``t_max``.
 
     ``seed`` may be an int or a sequence of ints (a sequence selects an
     independent substream, e.g. ``(base_seed, run_index)``).  Identical
-    seed and arguments give a bit-identical run.
+    seed and arguments give a bit-identical run.  A run expecting more
+    than `sampling.MAX_CLOCK_EVENTS` clock events, or a grid of more than
+    `sampling.MAX_GRID_POINTS`, is refused before anything is drawn.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
@@ -161,88 +162,69 @@ def simulate_ctmc(
     lam = n * total
     if math.isinf(lam):  # the clock would never advance
         raise ValueError("total event rate n * (beta + gamma + delta) overflows")
+    events = lam * t_max
+    if not events <= MAX_CLOCK_EVENTS:
+        raise ValueError(
+            f"n * (beta + gamma + delta) * t_max = {events:.3g} expected "
+            f"clock events, more than the budget of {MAX_CLOCK_EVENTS:.0e}"
+        )
+    grid = uniform_grid(t_max, sample_dt)
     p_meet = beta / total
     p_meet_update = (beta + gamma) / total
     inv_n = 1.0 / n
     rng = np.random.default_rng(seed)
 
-    grid = uniform_grid(t_max, sample_dt)
-    # The inf sentinel ends the sampling check once the grid is filled.
-    grid_t = grid.tolist() + [math.inf]
-    cs: list[tuple[int, int, int]] = []
-    next_t = grid_t[0]
-
-    tallies = {"infect": 0, "protect": 0, "unprotect": 0, "recover": 0}
-    occ_s = occ_i = occ_p = 0.0
-
+    logs = tuple(array("d") for _ in MOVES)
+    infect, protect, unprotect, recover = (log.append for log in logs)
     t = 0.0
-    done = False
-    while not done:
-        gaps = rng.exponential(1.0 / lam, _BLOCK).tolist()
+    while True:
+        times = rng.exponential(1.0 / lam, _BLOCK)
         uu = rng.random((_BLOCK, 3))
-        u1s = uu[:, 0].tolist()
-        u2s = uu[:, 1].tolist()
-        u3s = uu[:, 2].tolist()
-        for gap, u1, u2, u3 in zip(gaps, u1s, u2s, u3s):
-            te = t + gap
-            while next_t < te:
-                cs.append((n_s, n_i, n_p))
-                next_t = grid_t[len(cs)]
-            if te > t_max:
-                done = True
-                break
-            if audit:
-                occ_s += gap * n_s
-                occ_i += gap * n_i
-                occ_p += gap * n_p
-                before = (n_s, n_i, n_p)
-            t = te
+        # The gaps become event times in place.  cumsum adds left to right,
+        # so these are the same floats as t += gap per event.
+        times[0] += t
+        np.cumsum(times, out=times)
+        last = int(np.searchsorted(times, t_max, side="right"))
+        for te, u1, u2, u3 in zip(times[:last].tolist(), *uu[:last].T.tolist()):
             init = u2 * n
             if u1 < p_meet:
                 if init < n_s and u3 * (n - 1) < n_i:
                     n_s -= 1
                     n_i += 1
-                    if audit:
-                        tallies["infect"] += 1
+                    infect(te)
             elif u1 < p_meet_update:
                 if init < n_s:
                     if u3 < resp(n_i * inv_n)[0]:
                         n_s -= 1
                         n_p += 1
-                        if audit:
-                            tallies["protect"] += 1
+                        protect(te)
                 elif init >= n_s + n_i:
                     if u3 < resp(n_i * inv_n)[1]:
                         n_p -= 1
                         n_s += 1
-                        if audit:
-                            tallies["unprotect"] += 1
+                        unprotect(te)
             else:
                 if n_s <= init < n_s + n_i:
                     n_i -= 1
                     n_p += 1
-                    if audit:
-                        tallies["recover"] += 1
-            if audit:
-                jump = (n_s - before[0], n_i - before[1], n_p - before[2])
-                assert jump in _ALLOWED_JUMPS, f"illegal transition {jump}"
-                assert n_s + n_i + n_p == n, "count conservation violated"
+                    recover(te)
+        if last < _BLOCK:
+            break
+        t = float(times[-1])
 
-    if audit:
-        occ_s += (t_max - t) * n_s
-        occ_i += (t_max - t) * n_i
-        occ_p += (t_max - t) * n_p
-    cs.extend([(n_s, n_i, n_p)] * (grid.size - len(cs)))
-
+    # A jump at time t adds its move to the occupation integrals for the
+    # remaining t_max - t.
+    held = [len(log) * t_max - math.fsum(log) for log in logs]
+    occupation = np.multiply(pop0.counts, t_max) + np.dot(held, MOVES)
     return SimRun(
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         n=n,
         sample_dt=sample_dt,
         times=grid,
-        counts=np.array(cs, dtype=np.int64),
+        counts=counts_on_grid(pop0.counts, MOVES, logs, grid),
         final_t=t_max,
-        transition_counts=tallies if audit else None,
-        occupation=(occ_s, occ_i, occ_p) if audit else None,
+        transition_counts=dict(zip(_TRANSITIONS, map(len, logs))),
+        occupation=tuple(occupation.tolist()),
     )
 
 

@@ -428,9 +428,10 @@ def equilibrium_infection_vs_gamma(
 
         I_eq(gamma) = min{ (1 - delta/beta)/(1 + delta/gamma), i_star }
 
-    for delta < beta (zero otherwise): the endemic level rises with gamma
-    until it saturates at the threshold, after which the sliding point
-    pins the infection at i_star.
+    for delta < beta and gamma > 0 (zero otherwise): the endemic level
+    rises with gamma until it saturates at the threshold, after which the
+    sliding point pins the infection at i_star.  At gamma == 0 the row is
+    disease-free, as `find_equilibria_step` reports it.
     """
     if not (0.0 < i_star <= 1.0):
         raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
@@ -438,7 +439,7 @@ def equilibrium_infection_vs_gamma(
     for gamma in gamma_grid:
         if gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
-        if delta >= beta:
+        if delta >= beta or gamma == 0.0:
             rows.append(SweepRow(gamma, 0.0, EquilibriumKind.DISEASE_FREE))
             continue
         uncapped = gamma * (1.0 - delta / beta) / (gamma + delta)

@@ -19,18 +19,20 @@ ties do not occur.
 Each class response is compiled once by `model.compile_response`, the
 scalar kernel shared with the jump process and the integrator.  A run
 tracks only the agents' states and the infected count the responses
-read; it logs every transition, and `sampling.counts_on_grid` turns the
-log into aggregate and per-class samples once the run is over.
+read; it logs the time of every transition, one log per class and move
+of `sampling.MOVES`, and `sampling.counts_on_grid` turns the logs into
+aggregate and per-class samples once the run is over.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ClassSpec, compile_response
-from .sampling import counts_on_grid, uniform_grid
+from .sampling import MAX_CLOCK_EVENTS, MOVES, counts_on_grid, uniform_grid
 
 __all__ = [
     "Contact",
@@ -46,9 +48,6 @@ __all__ = [
 
 _S, _I, _P = 0, 1, 2
 _STATE_CODES = {"S": _S, "I": _I, "P": _P}
-
-# The four transitions as (dS, dI, dP): S->I, S->P, P->S, I->P.
-_MOVES = ((-1, 1, 0), (-1, 0, 1), (1, 0, -1), (0, -1, 1))
 
 
 class Contact(NamedTuple):
@@ -258,7 +257,10 @@ class TraceResult:
 
 def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> TraceResult:
     """Monte-Carlo replay of ``trace`` under ``exp``; run k draws its
-    randomness from the substream (seed, k)."""
+    randomness from the substream (seed, k).  An experiment expecting
+    more than `sampling.MAX_CLOCK_EVENTS` clock events over all runs, or a
+    grid of more than `sampling.MAX_GRID_POINTS`, is refused before
+    anything is drawn."""
     nodes = list(trace.node_ids)
     n = len(nodes)
     index = {nid: j for j, nid in enumerate(nodes)}
@@ -289,6 +291,14 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
 
     resp_fns = [compile_response(c.response) for c in exp.classes]
     span = trace.duration
+    gamma, delta = exp.gamma, exp.delta
+    clock_rate = n * (gamma + delta)
+    events = exp.runs * clock_rate * span
+    if not events <= MAX_CLOCK_EVENTS:
+        raise ValueError(
+            f"runs * nodes * (gamma + delta) * span = {events:.3g} expected "
+            f"clock events, more than the budget of {MAX_CLOCK_EVENTS:.0e}"
+        )
     grid = uniform_grid(span, exp.grid_dt)
     cut = 0.1 * span if exp.transient_cut is None else exp.transient_cut
     cut_idx = int(np.searchsorted(grid, cut))
@@ -300,18 +310,16 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     c_b = [index[c.b] for c in trace.contacts]
     n_contacts = len(c_start)
 
-    gamma, delta = exp.gamma, exp.delta
-    clock_rate = n * (gamma + delta)
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
     inv_n = 1.0 / n
 
-    # Agent j's transitions are logged with code 4 * class_of[j] + move;
+    # Agent j's transitions are logged under code 4 * class_of[j] + move;
     # each code moves one agent in the aggregate and in its class.
     code_base = [4 * c for c in class_of]
     jumps = np.zeros((4 * n_classes, 1 + n_classes, 3), dtype=np.int64)
     for c in range(n_classes):
-        jumps[4 * c : 4 * c + 4, 0] = _MOVES
-        jumps[4 * c : 4 * c + 4, 1 + c] = _MOVES
+        jumps[4 * c : 4 * c + 4, 0] = MOVES
+        jumps[4 * c : 4 * c + 4, 1 + c] = MOVES
     jumps = jumps.reshape(4 * n_classes, -1)
     initial = np.zeros((1 + n_classes, 3), dtype=np.int64)
     np.add.at(initial, (np.add(class_of, 1), init_state), 1)
@@ -347,8 +355,7 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
 
         st = list(init_state)
         n_inf = st.count(_I)
-        log_t: list[float] = []
-        log_code: list[int] = []
+        logs = [array("d") for _ in jumps]
 
         ci = cj = 0
         while ci < n_contacts or cj < n_clocks:
@@ -361,8 +368,7 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
                     j = ja if sa == _S else jb
                     st[j] = _I
                     n_inf += 1
-                    log_t.append(tc)
-                    log_code.append(code_base[j])
+                    logs[code_base[j]].append(tc)
                 ci += 1
             else:
                 j = int(u_agent[cj] * n)
@@ -371,23 +377,20 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
                     if sj == _S:
                         if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[0]:
                             st[j] = _P
-                            log_t.append(tk)
-                            log_code.append(code_base[j] + 1)
+                            logs[code_base[j] + 1].append(tk)
                     elif sj == _P:
                         if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[1]:
                             st[j] = _S
-                            log_t.append(tk)
-                            log_code.append(code_base[j] + 2)
+                            logs[code_base[j] + 2].append(tk)
                 elif sj == _I:
                     st[j] = _P
                     n_inf -= 1
-                    log_t.append(tk)
-                    log_code.append(code_base[j] + 3)
+                    logs[code_base[j] + 3].append(tk)
                 cj += 1
 
-        counts = counts_on_grid(
-            initial.ravel(), jumps, log_t, log_code, grid
-        ).reshape(grid.size, 1 + n_classes, 3)
+        counts = counts_on_grid(initial.ravel(), jumps, logs, grid).reshape(
+            grid.size, 1 + n_classes, 3
+        )
         samples = np.empty(counts.shape)
         samples[:, 0] = counts[:, 0] * inv_n
         samples[:, 1:] = counts[:, 1:] / sizes

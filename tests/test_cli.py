@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,41 @@ def test_trace_malformed_file_exits_3(tmp_path, capsys):
     code, _ = run(tmp_path, "trace", TRACE_CFG, str(bad))
     assert code == 3
     assert "line 1" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ work budgets
+
+BUDGET_CASES = {
+    "grid": ("simulate", SIM_CFG.replace("sample_dt = 0.5", "sample_dt = 1e-9"), "cap"),
+    "events": ("simulate", SIM_CFG.replace("beta = 1\n", "beta = 1e12\n"), "budget"),
+    "trace-grid": ("trace", TRACE_CFG.replace("grid_dt = 60", "grid_dt = 1e-6"), "cap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_work_past_a_budget_exits_2_at_once(tmp_path, capsys, case):
+    command, cfg, word = BUDGET_CASES[case]
+    extra = (str(FIXTURE),) if command == "trace" else ()
+    start = time.perf_counter()
+    code, _ = run(tmp_path, command, cfg, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert word in capsys.readouterr().err
+
+
+OFF_SIMPLEX = {
+    "integrate": SLIDING_CFG + "s0 = 0.95\ni0 = 0.95\nt_max = 1\n",
+    "simulate": SIM_CFG.replace("i0 = 0.1\n", "i0 = 0.95\n").replace("s0 = 0.9\n", "s0 = 0.95\n"),
+    "converge": CONFIGS["converge"].replace("i0 = 0.05\n", "i0 = 0.95\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OFF_SIMPLEX))
+def test_start_off_the_simplex_names_s0_and_i0(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, OFF_SIMPLEX[command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'s0'" in err and "'i0'" in err and "(0.95, 0.95)" in err
 
 
 # ------------------------------------------------------------- output pins

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiresponse.ctmc import (
     AgentPopulation,
@@ -18,7 +19,9 @@ from epiresponse.model import (
     SigmoidResponse,
     State,
     StepResponse,
+    TabulatedResponse,
 )
+from epiresponse.sampling import MOVES
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)
 
@@ -96,13 +99,12 @@ def test_sampling_grid_shape():
     assert run.counts.sum(axis=1).tolist() == [50] * 11
 
 
-# ------------------------------------------------------------------- audit
+# ----------------------------------------------------------------- counters
 
 
 def test_audit_transition_identities():
     pop = AgentPopulation.from_fractions(400, 0.7, 0.2)
-    run = simulate_ctmc(FIG, SigmoidResponse(0.3, 0.1), pop, t_max=20.0,
-                        seed=11, audit=True)
+    run = simulate_ctmc(FIG, SigmoidResponse(0.3, 0.1), pop, t_max=20.0, seed=11)
     tc = run.transition_counts
     assert set(tc) == {"infect", "protect", "unprotect", "recover"}
     n_s0, n_i0, n_p0 = pop.counts
@@ -115,11 +117,49 @@ def test_audit_transition_identities():
     assert run.transition_counts is not None and run.occupation is not None
 
 
-def test_audit_disabled_by_default():
+def test_counters_always_present():
     pop = AgentPopulation.from_fractions(50, 0.9, 0.1)
     run = simulate_ctmc(FIG, StepResponse(0.2), pop, t_max=2.0, seed=1)
-    assert run.transition_counts is None
-    assert run.occupation is None
+    assert set(run.transition_counts) == {"infect", "protect", "unprotect", "recover"}
+    assert len(run.occupation) == 3
+
+
+def test_every_move_conserves_the_population():
+    assert all(sum(move) == 0 for move in MOVES)
+
+
+RESPONSES = st.one_of(
+    st.builds(StepResponse, st.floats(0.05, 1.0)),
+    st.builds(SigmoidResponse, st.floats(0.05, 0.95), st.floats(0.01, 0.5)),
+    st.builds(ConstantResponse, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.just(TabulatedResponse((0.0, 0.3, 1.0), (0.0, 0.5, 1.0), (1.0, 0.4, 0.0))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    rates=st.tuples(st.floats(0.01, 3.0), st.floats(0.0, 3.0), st.floats(0.01, 3.0)),
+    spec=RESPONSES,
+    start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    sample_dt=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_counters_reconcile_the_sampled_path(n, rates, spec, start, sample_dt, steps, seed):
+    """Each grid row is a population of n, the tallies carry the first row
+    to the last, and the occupation integrals add up to n * t_max."""
+    s0, i0 = start[0], start[1] * (1.0 - start[0])
+    pop = AgentPopulation.from_fractions(n, s0, i0)
+    t_max = steps * sample_dt
+    run = simulate_ctmc(ModelParams(*rates), spec, pop, t_max, seed, sample_dt=sample_dt)
+    assert len(run.times) == steps + 1
+    assert (run.counts >= 0).all()
+    assert (run.counts.sum(axis=1) == n).all()
+    tc = run.transition_counts
+    tallies = [tc["infect"], tc["protect"], tc["unprotect"], tc["recover"]]
+    np.testing.assert_array_equal(run.counts[-1], run.counts[0] + np.dot(tallies, MOVES))
+    assert sum(run.occupation) == pytest.approx(n * t_max, rel=1e-12)
 
 
 def test_event_counts_match_their_compensators():
@@ -129,7 +169,7 @@ def test_event_counts_match_their_compensators():
     p = ModelParams(beta=0.8, gamma=1.2, delta=0.6)
     spec = ConstantResponse(p_sp=0.4, p_ps=0.7)
     pop = AgentPopulation.from_fractions(500, 0.6, 0.3)
-    run = simulate_ctmc(p, spec, pop, t_max=30.0, seed=5, audit=True)
+    run = simulate_ctmc(p, spec, pop, t_max=30.0, seed=5)
     occ_s, occ_i, occ_p = run.occupation
     checks = [
         (run.transition_counts["recover"], p.delta * occ_i),
@@ -145,8 +185,7 @@ def test_pure_recovery_drain():
     # no susceptibles and a response that never changes decisions:
     # the infected pool can only drain into P, one recovery per agent
     pop = AgentPopulation(n=20, counts=(0, 20, 0))
-    run = simulate_ctmc(FIG, ConstantResponse(0.0, 0.0), pop, t_max=200.0,
-                        seed=3, audit=True)
+    run = simulate_ctmc(FIG, ConstantResponse(0.0, 0.0), pop, t_max=200.0, seed=3)
     assert tuple(run.counts[-1]) == (0, 0, 20)
     assert run.transition_counts == {
         "infect": 0,
@@ -163,7 +202,7 @@ def test_outbreak_size_grows_with_transmission_rate():
     for beta in (0.5, 2.0):
         p = ModelParams(beta=beta, gamma=1.0, delta=1.0)
         infected = [
-            simulate_ctmc(p, spec, pop, t_max=40.0, seed=(31, k), audit=True)
+            simulate_ctmc(p, spec, pop, t_max=40.0, seed=(31, k))
             .transition_counts["infect"]
             for k in range(20)
         ]

@@ -376,6 +376,17 @@ def test_sweep_zero_when_no_epidemic():
     assert all(row.kind is EquilibriumKind.DISEASE_FREE for row in rows)
 
 
+def test_sweep_at_gamma_zero_is_disease_free_like_find_equilibria_step():
+    # with gamma = 0 the whole line i = 0 is stationary: no endemic point
+    (row,) = equilibrium_infection_vs_gamma(1.0, 0.5, 0.3, [0.0])
+    last = find_equilibria_step(ModelParams(beta=1.0, gamma=0.0, delta=0.5), 0.3)[-1]
+    assert row.kind is last.kind is EquilibriumKind.DISEASE_FREE
+    assert row.i_eq == last.point.i == 0.0
+    # gamma = delta = 0 makes the closed form 0 / 0
+    (row,) = equilibrium_infection_vs_gamma(1.0, 0.0, 0.3, [0.0])
+    assert (row.i_eq, row.kind) == (0.0, EquilibriumKind.DISEASE_FREE)
+
+
 def test_sweep_validates_inputs():
     with pytest.raises(ValueError):
         equilibrium_infection_vs_gamma(1.0, 0.5, 0.0, [1.0])

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from epiresponse.model import ClassSpec, StepResponse
-from epiresponse.sampling import counts_on_grid, uniform_grid
+from epiresponse.sampling import MAX_GRID_POINTS, counts_on_grid, uniform_grid
 from epiresponse.traces import Contact, ContactTrace, TraceExperiment, run_trace_experiment
 
 
@@ -18,6 +19,14 @@ def naive_counts(initial, jumps, times, codes, grid):
             k += 1
         rows.append(state)
     return np.array(rows, dtype=np.int64).reshape(len(grid), len(initial))
+
+
+def by_code(times, codes, n_codes):
+    """Split a ``(time, code)`` log into one list of times per code."""
+    logs = [[] for _ in range(n_codes)]
+    for t, k in zip(times, codes):
+        logs[k].append(t)
+    return logs
 
 
 @st.composite
@@ -53,14 +62,17 @@ def logs(draw):
 def test_counts_on_grid_equals_row_by_row_replay(log, rnd):
     initial, jumps, times, codes, grid = log
     expected = naive_counts(initial, jumps, times, codes, grid)
-    got = counts_on_grid(initial, jumps, times, codes, grid)
+    got = counts_on_grid(initial, jumps, by_code(times, codes, len(jumps)), grid)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
     # the log order does not matter
     order = list(range(len(times)))
     rnd.shuffle(order)
     shuffled = counts_on_grid(
-        initial, jumps, [times[k] for k in order], [codes[k] for k in order], grid
+        initial,
+        jumps,
+        by_code([times[k] for k in order], [codes[k] for k in order], len(jumps)),
+        grid,
     )
     np.testing.assert_array_equal(shuffled, expected)
 
@@ -68,10 +80,10 @@ def test_counts_on_grid_equals_row_by_row_replay(log, rnd):
 def test_counts_on_grid_edges():
     grid = uniform_grid(3.0, 1.0)
     jumps = [[-1, 1], [1, -1]]
-    empty = counts_on_grid([4, 0], jumps, [], [], grid)
+    empty = counts_on_grid([4, 0], jumps, [[], []], grid)
     np.testing.assert_array_equal(empty, [[4, 0]] * 4)
     # a jump on a grid time shows in that row; one past the end never does
-    got = counts_on_grid([4, 0], jumps, [1.0, 2.5, 3.5], [0, 0, 1], grid)
+    got = counts_on_grid([4, 0], jumps, [[1.0, 2.5], [3.5]], grid)
     np.testing.assert_array_equal(got, [[4, 0], [3, 1], [3, 1], [2, 2]])
 
 
@@ -80,6 +92,13 @@ def test_uniform_grid_keeps_an_end_within_round_off():
     # 0.3 / 0.1 = 2.9999999999999996: the end point is still sampled
     assert uniform_grid(0.3, 0.1).size == 4
     assert uniform_grid(0.29, 0.1).size == 3
+
+
+def test_uniform_grid_refuses_a_grid_past_the_cap():
+    assert uniform_grid(1.0, 1.0 / (MAX_GRID_POINTS - 1)).size == MAX_GRID_POINTS
+    for t_end, dt in ((1.0, 1.0 / MAX_GRID_POINTS), (50.0, 1e-9), (1e308, 1e-308)):
+        with pytest.raises(ValueError, match="cap"):
+            uniform_grid(t_end, dt)
 
 
 def test_trace_row_on_a_contact_time_shows_the_infection():
