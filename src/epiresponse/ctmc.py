@@ -258,6 +258,10 @@ def convergence_study(
     substream (seed, k), so rows are comparable seed-by-seed.  Errors
     decrease with n (law of large numbers); the contract under test is
     error(n_last) < error(n_first) once n_last >= 100 * n_first.
+
+    Every run draws at least one block of 65,536 clock events, so a study
+    whose runs together draw more than `sampling.MAX_CLOCK_EVENTS` is
+    refused before the reference flow is integrated.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -266,6 +270,14 @@ def convergence_study(
         raise ValueError("runs_per_n must be positive")
     if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError("sample_dt must be positive and finite")
+    total = params.beta + params.gamma + params.delta
+    draws = runs_per_n * sum(max(n * total * t_max, _BLOCK) for n in n_list)
+    if not draws <= MAX_CLOCK_EVENTS:
+        raise ValueError(
+            f"runs_per_n = {runs_per_n} runs for each n in n_list = {n_list} "
+            f"draw {draws:.3g} clock events, more than the budget of "
+            f"{MAX_CLOCK_EVENTS:.0e}"
+        )
     grid = uniform_grid(t_max, sample_dt)
     reference = _reference_on_grid(params, spec, x0, grid, t_max)
     rows = []

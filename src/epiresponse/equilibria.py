@@ -28,6 +28,7 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
+    compile_field,
     eval_response_selected,
     response_slopes,
 )
@@ -175,7 +176,8 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
 
 
 def g_function(params: ModelParams, spec: ResponseSpec, i: float) -> float:
-    """Endemic balance g(i) whose root gives the X1 infection level.
+    """Endemic balance g(i) whose root gives the X1 infection level: the
+    S-rate of `compile_field` on the line s = delta/beta, where di/dt = 0,
 
         g(i) = -delta*i - (gamma*delta/beta)*p_sp(i)
                + gamma*(1 - delta/beta - i)*p_ps(i)
@@ -183,13 +185,7 @@ def g_function(params: ModelParams, spec: ResponseSpec, i: float) -> float:
     g(1) < 0 for all positive rates; when g(0) >= 0 monotonicity yields a
     unique root in [0, 1 - delta/beta].
     """
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    p_sp, p_ps = eval_response_selected(spec, i)
-    return (
-        -delta * i
-        - (gamma * delta / beta) * p_sp
-        + gamma * (1.0 - delta / beta - i) * p_ps
-    )
+    return compile_field(params, spec)(params.delta / params.beta, i)[0]
 
 
 def endemic_root(params: ModelParams, spec: ResponseSpec) -> float:
@@ -197,7 +193,9 @@ def endemic_root(params: ModelParams, spec: ResponseSpec) -> float:
 
     Raises `NoRootError` when g(0) < 0 (the endemic point does not exist).
     """
-    g0 = g_function(params, spec, 0.0)
+    rhs = compile_field(params, spec)
+    s_eq = params.delta / params.beta
+    g0 = rhs(s_eq, 0.0)[0]
     if g0 < 0.0:
         raise NoRootError(
             f"g(0) = {g0} < 0: no endemic equilibrium for these parameters"
@@ -209,7 +207,7 @@ def endemic_root(params: ModelParams, spec: ResponseSpec) -> float:
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if g_function(params, spec, mid) >= 0.0:
+        if rhs(s_eq, mid)[0] >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -241,10 +239,7 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
     )
     if g0 <= 0.0:
         return [x0]
-    try:
-        i1 = endemic_root(params, spec)
-    except NoRootError:  # pragma: no cover - g0 > 0 guarantees a root
-        return [x0]
+    i1 = endemic_root(params, spec)
     return [x0, Equilibrium(EquilibriumKind.ENDEMIC, State(params.delta / params.beta, i1))]
 
 

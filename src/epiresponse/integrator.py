@@ -29,6 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (
+    Equilibrium,
     EquilibriumKind,
     Verdict,
     find_equilibria,
@@ -98,12 +99,7 @@ class IntegratorConfig:
     t_max: float = 1e4
     event_tol: float = 1e-10
     equilibrium_eps: float = 1e-7
-    # Sliding-point endgame: terminate at the sliding equilibrium once its
-    # stability certificate holds and `capture_count` consecutive crossing
-    # radii are all below `capture_radius` and strictly shrinking.
     capture_spiral: bool = True
-    capture_radius: float = 3e-3
-    capture_count: int = 6
     store_dense: bool = True
     store_samples: bool = True
 
@@ -114,12 +110,16 @@ class IntegratorConfig:
             "t_max",
             "event_tol",
             "equilibrium_eps",
-            "capture_radius",
         ):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.capture_count < 2:
-            raise ValueError("capture_count must be at least 2")
+
+
+# Sliding-point endgame: terminate at the sliding equilibrium once its
+# stability certificate holds and `CAPTURE_COUNT` consecutive crossing
+# radii are all below `CAPTURE_RADIUS` and strictly shrinking.
+CAPTURE_RADIUS = 3e-3
+CAPTURE_COUNT = 6
 
 
 # Dormand-Prince 5(4) tableau.
@@ -168,17 +168,24 @@ class Trajectory:
 
     ``times``/``states`` hold the accepted step endpoints (plus crossing
     states); ``events`` the (t, kind) log.  `evaluate` interpolates on the
-    stored dense segments.  If the sliding-point capture fired, the final
-    sample is the certified limit point itself rather than the last
-    crossing state (they differ by at most the capture radius).
+    stored dense segments.  ``equilibrium`` is the equilibrium the path came
+    to rest at, ``None`` when it ran to t_max.  If the sliding-point capture
+    fired, the final sample is the certified limit point itself rather than
+    the last crossing state (they differ by at most `CAPTURE_RADIUS`).
     """
 
     times: np.ndarray
     states: np.ndarray
     events: list[tuple[float, EventKind]]
-    reason: TerminationReason
+    equilibrium: Equilibrium | None
     _segments: list | None = None
     _seg_starts: np.ndarray | None = None
+
+    @property
+    def reason(self) -> TerminationReason:
+        if self.equilibrium is None:
+            return TerminationReason.T_MAX
+        return TerminationReason.EQUILIBRIUM
 
     @property
     def final_time(self) -> float:
@@ -304,7 +311,11 @@ def integrate(
 
     Termination with a ReachedEquilibrium event requires both proximity
     (within ``equilibrium_eps``) to an admissible equilibrium and a field
-    norm below ``equilibrium_eps`` (segment distance on L).
+    norm below ``equilibrium_eps`` (segment distance on L); the trajectory
+    then carries the nearest such equilibrium (the first listed on a tie).
+    At gamma == 0 every point of the line i = 0 is stationary, so a state
+    within ``equilibrium_eps`` of that line also comes to rest, at a
+    degenerate disease-free point.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -314,6 +325,7 @@ def integrate(
     equilibria = find_equilibria(params, spec)
     eq_points = [(eq.point.s, eq.point.i, eq) for eq in equilibria]
     eps = cfg.equilibrium_eps
+    line_rest = params.gamma == 0.0
 
     sliding_eq = next(
         (eq for eq in equilibria if eq.kind is EquilibriumKind.SLIDING), None
@@ -333,7 +345,9 @@ def integrate(
     segments = [] if cfg.store_dense else None
     radii: list[float] = []
 
-    def build(reason):
+    def build(eq=None):
+        if eq is not None:
+            events.append((t, EventKind.REACHED_EQUILIBRIUM))
         if store_samples:
             times = np.array(sample_t)
             states = np.column_stack([sample_s, sample_i])
@@ -343,7 +357,7 @@ def integrate(
         else:
             times = np.array([0.0])
             states = np.array([[sample_s[0], sample_i[0]]])
-        traj = Trajectory(times=times, states=states, events=events, reason=reason)
+        traj = Trajectory(times=times, states=states, events=events, equilibrium=eq)
         if segments is not None:
             traj._segments = segments
             traj._seg_starts = np.array([seg[0] for seg in segments])
@@ -361,8 +375,7 @@ def integrate(
                 events.append((t, EventKind.CROSS_DOWN))
             elif sliding_eq is not None:
                 events.append((t, EventKind.HIT_SLIDING))
-                events.append((t, EventKind.REACHED_EQUILIBRIUM))
-                return build(TerminationReason.EQUILIBRIUM)
+                return build(sliding_eq)
             else:
                 regime = _REGIME_BELOW  # canonical selection at the tangency
         else:
@@ -373,21 +386,29 @@ def integrate(
     rhs = _make_rhs(params, spec, regime)
     fs, fi = rhs(s, i)
 
-    def near_equilibrium():
-        for es, ei, _eq in eq_points:
+    def resting_at():
+        near = None
+        for es, ei, eq in eq_points:
             if abs(s - es) <= eps and abs(i - ei) <= eps:
-                norm = field(params, spec, State(s, i)).distance_to_zero()
-                if norm <= eps:
-                    return True
-        return False
+                dist = max(abs(s - es), abs(i - ei))
+                if near is None or dist < near_dist:
+                    near, near_dist = eq, dist
+        if near is None and line_rest and i <= eps:
+            near = Equilibrium(
+                EquilibriumKind.DISEASE_FREE, State(s, 0.0), degenerate=True
+            )
+        if near is None or field(params, spec, State(s, i)).distance_to_zero() > eps:
+            return None
+        return near
 
-    if near_equilibrium():
-        events.append((t, EventKind.REACHED_EQUILIBRIUM))
-        return build(TerminationReason.EQUILIBRIUM)
+    if (eq := resting_at()) is not None:
+        return build(eq)
 
-    h = _initial_step(rhs, s, i, fs, fi, cfg.rel_tol, cfg.abs_tol, cfg.t_max)
     # At least the smallest double: a step of 0 never advances t.
     min_step = max(1e-14 * cfg.t_max, math.ulp(0.0))
+    h = _initial_step(rhs, s, i, fs, fi, cfg.rel_tol, cfg.abs_tol, cfg.t_max)
+    if h > 0.0:  # a first guess below min_step is tried at min_step
+        h = max(h, min_step)
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
     t_max = cfg.t_max
     event_tol = cfg.event_tol
@@ -500,10 +521,9 @@ def integrate(
             # Certified sliding-point endgame.
             if capture_armed:
                 radii.append(abs(s - sliding_eq.point.s))
-                n = cfg.capture_count
-                if len(radii) >= n:
-                    recent = radii[-n:]
-                    if all(r < cfg.capture_radius for r in recent) and all(
+                if len(radii) >= CAPTURE_COUNT:
+                    recent = radii[-CAPTURE_COUNT:]
+                    if all(r < CAPTURE_RADIUS for r in recent) and all(
                         b < a for a, b in zip(recent, recent[1:])
                     ):
                         s, i = sliding_eq.point.s, sliding_eq.point.i
@@ -511,15 +531,13 @@ def integrate(
                             sample_s[-1] = s
                             sample_i[-1] = i
                         events.append((t, EventKind.HIT_SLIDING))
-                        events.append((t, EventKind.REACHED_EQUILIBRIUM))
-                        return build(TerminationReason.EQUILIBRIUM)
+                        return build(sliding_eq)
 
             regime = _REGIME_ABOVE if want_positive else _REGIME_BELOW
             rhs = _make_rhs(params, spec, regime)
             fs, fi = rhs(s, i)
-            if near_equilibrium():
-                events.append((t, EventKind.REACHED_EQUILIBRIUM))
-                return build(TerminationReason.EQUILIBRIUM)
+            if (eq := resting_at()) is not None:
+                return build(eq)
             continue  # reuse the current h; the controller re-adapts
 
         # Plain accepted step.
@@ -536,15 +554,14 @@ def integrate(
             sample_t.append(t)
             sample_s.append(s)
             sample_i.append(i)
-        if near_equilibrium():
-            events.append((t, EventKind.REACHED_EQUILIBRIUM))
-            return build(TerminationReason.EQUILIBRIUM)
+        if (eq := resting_at()) is not None:
+            return build(eq)
         if err == 0.0:
             h *= _MAX_FACTOR
         else:
             h *= min(_MAX_FACTOR, _SAFETY * err**-0.2)
 
-    return build(TerminationReason.T_MAX)
+    return build()
 
 
 def energy_E(params: ModelParams, x: State) -> float:
@@ -623,18 +640,8 @@ def classify_basin(
     if cfg is None:
         cfg = IntegratorConfig()
     run_cfg = dataclasses.replace(cfg, store_dense=False, store_samples=False)
-    equilibria = find_equilibria(params, spec)
     labels: dict[State, EquilibriumKind | None] = {}
     for x0 in x0_grid:
-        traj = integrate(params, spec, x0, run_cfg)
-        if traj.reason is not TerminationReason.EQUILIBRIUM:
-            labels[x0] = None
-            continue
-        fs, fi = traj.states[-1]
-        best = min(
-            equilibria,
-            key=lambda eq: max(abs(fs - eq.point.s), abs(fi - eq.point.i)),
-        )
-        dist = max(abs(fs - best.point.s), abs(fi - best.point.i))
-        labels[x0] = best.kind if dist <= 10.0 * cfg.equilibrium_eps else None
+        eq = integrate(params, spec, x0, run_cfg).equilibrium
+        labels[x0] = None if eq is None else eq.kind
     return labels

@@ -164,6 +164,17 @@ def test_basin_subcritical_all_disease_free(tmp_path):
     assert {row[2] for row in rows} == {"disease_free"}
 
 
+def test_basin_gamma_zero_all_disease_free(tmp_path):
+    # without decision updates every point of i = 0 is stationary, and
+    # every start comes to rest on that line instead of running to t_max
+    cfg = "beta = 1\ngamma = 0\ndelta = 0.5\nkind = step\ni_star = 0.2\ngrid_n = 20\n"
+    code, out = run(tmp_path, "basin", cfg)
+    assert code == 0
+    _, rows = read_csv(out / "basin.csv")
+    assert len(rows) == 210
+    assert {row[2] for row in rows} == {"disease_free"}
+
+
 @pytest.mark.parametrize("command", ["equilibria", "basin", "converge"])
 def test_response_without_decision_pressure_exits_3(tmp_path, capsys, command):
     cfg = "beta = 1\ngamma = 1\ndelta = 0.5\nkind = constant\np_sp = 0\np_ps = 0\n"
@@ -377,6 +388,13 @@ BUDGET_CASES = {
     "grid": ("simulate", SIM_CFG.replace("sample_dt = 0.5", "sample_dt = 1e-9"), "cap"),
     "events": ("simulate", SIM_CFG.replace("beta = 1\n", "beta = 1e12\n"), "budget"),
     "trace-grid": ("trace", TRACE_CFG.replace("grid_dt = 60", "grid_dt = 1e-6"), "cap"),
+    # every run draws at least one 65,536-event block, however short
+    "converge-study": (
+        "converge",
+        SLIDING_CFG + "n_list = 10\nruns_per_n = 10000000\ns0 = 0.9\ni0 = 0.1\n"
+        "t_max = 1\nseed = 1\n",
+        "runs_per_n = 10000000 runs for each n in n_list = [10]",
+    ),
 }
 
 

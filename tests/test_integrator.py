@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
-from epiresponse.equilibria import EquilibriumKind
+from epiresponse.equilibria import (
+    Equilibrium,
+    EquilibriumKind,
+    find_equilibria,
+    g_function,
+)
 from epiresponse.integrator import (
     DomainError,
     EventKind,
@@ -23,6 +30,9 @@ from epiresponse.model import (
     SigmoidResponse,
     State,
     StepResponse,
+    TabulatedResponse,
+    compile_field,
+    compile_response,
 )
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)  # reference parameter set
@@ -46,8 +56,6 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_max=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(capture_count=1)
 
 
 # ------------------------------------------------------------ smooth flows
@@ -73,6 +81,15 @@ def test_config_validation():
 def test_unrepresentable_steps_raise_step_underflow(params, x0, cfg):
     with pytest.raises(StepUnderflowError):
         integrate(params, StepResponse(0.2), x0, cfg)
+
+
+def test_first_step_guess_below_min_step_is_tried_at_min_step():
+    # at s = 0 with a tiny i the first-step heuristic proposes ~1e-14,
+    # below 1e-14 * t_max: that is a poor guess, not an underflow
+    traj = integrate(ModelParams(1.0, 1.0, 1.0), StepResponse(0.5),
+                     State(0.0, 1e-14), IntegratorConfig(t_max=30.0))
+    assert traj.reason is TerminationReason.EQUILIBRIUM
+    assert traj.equilibrium.kind is EquilibriumKind.DISEASE_FREE
 
 
 def test_plain_sir_peaks_at_recovery_ratio():
@@ -104,6 +121,98 @@ def test_start_at_equilibrium_returns_immediately():
     traj = integrate(FIG, StepResponse(0.5), State(0.5, 1.0 / 3.0))
     assert traj.final_time == 0.0
     assert traj.reason is TerminationReason.EQUILIBRIUM
+    assert traj.equilibrium == find_equilibria(FIG, StepResponse(0.5))[-1]
+
+
+def test_gamma_zero_comes_to_rest_on_the_stationary_line():
+    # without decision updates every point of i = 0 is stationary, not
+    # only the listed X0 = (1, 0): the SIR flow settles at s < 1
+    p = ModelParams(beta=1.0, gamma=0.0, delta=0.5)
+    traj = integrate(p, StepResponse(0.2), State(0.9, 0.05))
+    assert traj.reason is TerminationReason.EQUILIBRIUM
+    assert 50.0 < traj.final_time < 60.0
+    s, i = traj.final_state.s, traj.final_state.i
+    assert 0.0 < i <= 1e-7
+    assert traj.equilibrium == Equilibrium(
+        EquilibriumKind.DISEASE_FREE, State(s, 0.0), degenerate=True
+    )
+
+
+def _ramp(a, width):
+    return TabulatedResponse(
+        (0.0, a, a + width, 1.0), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", [SigmoidResponse(0.2, 0.05), _ramp(0.2, 0.05), ConstantResponse(0.3, 0.6)]
+)
+def test_dense_output_matches_scipy_dop853(spec):
+    traj = integrate(FIG, spec, State(0.9, 0.05), IntegratorConfig(t_max=40.0))
+    grid = np.linspace(0.0, traj.final_time, 401)
+    rhs = compile_field(FIG, spec)
+    ref = solve_ivp(
+        lambda t, y: rhs(y[0], y[1]),
+        (0.0, traj.final_time),
+        [0.9, 0.05],
+        method="DOP853",
+        t_eval=grid,
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    assert ref.success
+    assert np.max(np.abs(traj.evaluate(grid) - ref.y.T)) < 1e-6
+
+
+PARAMS = st.builds(
+    ModelParams, st.floats(0.3, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 1.0)
+)
+RESPONSES = st.one_of(
+    st.builds(StepResponse, st.floats(0.05, 0.6)),
+    st.builds(SigmoidResponse, st.floats(0.05, 0.6), st.floats(0.01, 0.2)),
+    st.builds(_ramp, st.floats(0.05, 0.6), st.floats(0.01, 0.3)),
+)
+STARTS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+    lambda u: State(u[0] * (1.0 - u[1]), u[1])
+)
+
+
+def _distance(x, eq):
+    return max(abs(x[0] - eq.point.s), abs(x[1] - eq.point.i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=PARAMS, spec=RESPONSES, starts=st.lists(STARTS, min_size=1, max_size=3))
+def test_rest_rule_names_the_nearest_listed_equilibrium(params, spec, starts):
+    """A trajectory carries the listed equilibrium nearest to its final
+    state, which lies within 10 * eps (a looser, independent form of the
+    rest rule), and carries none exactly when it ran to t_max."""
+    cfg = IntegratorConfig(t_max=30.0, store_dense=False)
+    listed = find_equilibria(params, spec)
+    for x0 in starts:
+        traj = integrate(params, spec, x0, cfg)
+        assert (traj.equilibrium is None) == (traj.reason is TerminationReason.T_MAX)
+        if traj.equilibrium is not None:
+            final = traj.states[-1]
+            nearest = min(listed, key=lambda eq: _distance(final, eq))
+            assert _distance(final, nearest) <= 10.0 * cfg.equilibrium_eps
+            assert traj.equilibrium == nearest
+
+
+@given(params=PARAMS, spec=RESPONSES, i=st.floats(0.0, 1.0))
+def test_g_is_the_field_on_the_line_s_equals_delta_over_beta(params, spec, i):
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    g = g_function(params, spec, i)
+    assert g == compile_field(params, spec)(delta / beta, i)[0]
+    p_sp, p_ps = compile_response(spec)(i)
+    terms = (
+        -delta * i,
+        -(gamma * delta / beta) * p_sp,
+        gamma * (1.0 - delta / beta - i) * p_ps,
+    )
+    # each term rounds at most three times, each way, and the two sums
+    # once each: the two forms differ by at most ~10 ulps of the terms' size
+    assert abs(g - sum(terms)) <= 10 * math.ulp(sum(map(abs, terms)))
 
 
 # ------------------------------------------------------- diagnostics E and M
@@ -206,6 +315,7 @@ def test_capture_terminates_exactly_at_sliding_point():
     kinds = [k for _, k in traj.events]
     assert kinds[-2:] == [EventKind.HIT_SLIDING, EventKind.REACHED_EQUILIBRIUM]
     assert traj.final_time < 30.0
+    assert traj.equilibrium == find_equilibria(FIG, StepResponse(0.2))[-1]
 
 
 def test_capture_not_armed_without_stable_certificate():
@@ -238,6 +348,7 @@ def test_online_start_at_admissible_sliding_point_stops():
         EventKind.HIT_SLIDING,
         EventKind.REACHED_EQUILIBRIUM,
     ]
+    assert traj.equilibrium.kind is EquilibriumKind.SLIDING
 
 
 def test_online_tangency_without_sliding_point_continues_below():
