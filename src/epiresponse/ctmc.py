@@ -58,6 +58,12 @@ __all__ = [
 
 _BLOCK = 1 << 16
 
+# Clock events a convergence study may draw in whole blocks.  Drawing and
+# converting a block takes ~2.4 ms (~36 ns an event), a tenth of what
+# processing an event takes, so at this cap a study's block draws take
+# about as long as `sampling.MAX_CLOCK_EVENTS` processed events.
+_MAX_BLOCK_DRAWS = 10**9
+
 # The names of the rows of MOVES in `SimRun.transition_counts`.
 _TRANSITIONS = ("infect", "protect", "unprotect", "recover")
 
@@ -259,9 +265,10 @@ def convergence_study(
     decrease with n (law of large numbers); the contract under test is
     error(n_last) < error(n_first) once n_last >= 100 * n_first.
 
-    Every run draws at least one block of 65,536 clock events, so a study
-    whose runs together draw more than `sampling.MAX_CLOCK_EVENTS` is
-    refused before the reference flow is integrated.
+    A study whose runs together expect more than
+    `sampling.MAX_CLOCK_EVENTS` clock events, or draw more than
+    `_MAX_BLOCK_DRAWS` in their blocks (every run draws at least one block
+    of 65,536 events), is refused before the reference flow is integrated.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -271,12 +278,14 @@ def convergence_study(
     if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError("sample_dt must be positive and finite")
     total = params.beta + params.gamma + params.delta
-    draws = runs_per_n * sum(max(n * total * t_max, _BLOCK) for n in n_list)
-    if not draws <= MAX_CLOCK_EVENTS:
+    events = runs_per_n * sum(n * total * t_max for n in n_list)
+    draws = runs_per_n * len(n_list) * _BLOCK
+    if not (events <= MAX_CLOCK_EVENTS and draws <= _MAX_BLOCK_DRAWS):
         raise ValueError(
             f"runs_per_n = {runs_per_n} runs for each n in n_list = {n_list} "
-            f"draw {draws:.3g} clock events, more than the budget of "
-            f"{MAX_CLOCK_EVENTS:.0e}"
+            f"expect {events:.3g} clock events and draw at least {draws:.3g}, "
+            f"more than the budgets of {MAX_CLOCK_EVENTS:.0e} and "
+            f"{_MAX_BLOCK_DRAWS:.0e}"
         )
     grid = uniform_grid(t_max, sample_dt)
     reference = _reference_on_grid(params, spec, x0, grid, t_max)

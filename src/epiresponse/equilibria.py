@@ -200,8 +200,11 @@ def endemic_root(params: ModelParams, spec: ResponseSpec) -> float:
         raise NoRootError(
             f"g(0) = {g0} < 0: no endemic equilibrium for these parameters"
         )
-    if g0 == 0.0:
-        return 0.0
+    return 0.0 if g0 == 0.0 else _bisect_g(rhs, s_eq)
+
+
+def _bisect_g(rhs, s_eq: float) -> float:
+    """Root of g(i) = rhs(s_eq, i)[0] on [0, 1], given g(0) > 0."""
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
@@ -233,14 +236,16 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
             f"p_ps = {p_ps0!r} at i = 0); the disease-free state is not isolated"
         )
     s0 = p_ps0 / denom
-    g0 = g_function(params, spec, 0.0)
+    rhs = compile_field(params, spec)
+    s_eq = params.delta / params.beta
+    g0 = rhs(s_eq, 0.0)[0]
     x0 = Equilibrium(
         EquilibriumKind.DISEASE_FREE, State(s0, 0.0), degenerate=(g0 == 0.0)
     )
     if g0 <= 0.0:
         return [x0]
-    i1 = endemic_root(params, spec)
-    return [x0, Equilibrium(EquilibriumKind.ENDEMIC, State(params.delta / params.beta, i1))]
+    i1 = _bisect_g(rhs, s_eq)
+    return [x0, Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1))]
 
 
 def find_equilibria(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:

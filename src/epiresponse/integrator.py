@@ -314,8 +314,9 @@ def integrate(
     norm below ``equilibrium_eps`` (segment distance on L); the trajectory
     then carries the nearest such equilibrium (the first listed on a tie).
     At gamma == 0 every point of the line i = 0 is stationary, so a state
-    within ``equilibrium_eps`` of that line also comes to rest, at a
-    degenerate disease-free point.
+    on that line, or within ``equilibrium_eps`` of it where beta*s <= delta
+    (where the line attracts), also comes to rest, at a degenerate
+    disease-free point.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -393,7 +394,9 @@ def integrate(
                 dist = max(abs(s - es), abs(i - ei))
                 if near is None or dist < near_dist:
                     near, near_dist = eq, dist
-        if near is None and line_rest and i <= eps:
+        # the line i = 0 holds a run only where it attracts (beta*s <= delta,
+        # since di/dt = (beta*s - delta)*i there) or exactly on it
+        if near is None and line_rest and i <= eps and (i == 0.0 or beta * s <= delta):
             near = Equilibrium(
                 EquilibriumKind.DISEASE_FREE, State(s, 0.0), degenerate=True
             )

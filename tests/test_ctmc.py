@@ -246,6 +246,33 @@ def test_convergence_study_pairs_runs_and_shrinks_error():
     assert rows[1].mean_error < rows[0].mean_error
 
 
+def test_convergence_study_admits_a_thousand_short_runs_per_n(monkeypatch):
+    # 2,000 runs draw 1.3e8 clock events in their blocks but expect only
+    # 75,000: the study is admitted.  Each n replays one real run, so the
+    # test takes milliseconds instead of the study's ~5 s.
+    import epiresponse.ctmc as ctmc
+
+    spec = StepResponse(0.2)
+    runs = {}
+
+    def replay(params, spec, pop0, t_max, seed, sample_dt):
+        if pop0.n not in runs:
+            runs[pop0.n] = simulate_ctmc(params, spec, pop0, t_max, seed, sample_dt)
+        return runs[pop0.n]
+
+    monkeypatch.setattr(ctmc, "simulate_ctmc", replay)
+    rows = convergence_study(
+        FIG, spec, State(0.9, 0.1), n_list=(10, 20), runs_per_n=1000,
+        t_max=1.0, seed=1,
+    )
+    assert [(r.n, r.runs) for r in rows] == [(10, 1000), (20, 1000)]
+    with pytest.raises(ValueError, match="runs_per_n = 8000 runs"):
+        convergence_study(
+            FIG, spec, State(0.9, 0.1), n_list=(10, 20), runs_per_n=8000,
+            t_max=1.0, seed=1,
+        )
+
+
 def test_convergence_study_validates_inputs():
     with pytest.raises(ValueError):
         convergence_study(FIG, SigmoidResponse(0.5, 0.05), State(0.9, 0.1),

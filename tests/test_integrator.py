@@ -138,6 +138,25 @@ def test_gamma_zero_comes_to_rest_on_the_stationary_line():
     )
 
 
+def test_gamma_zero_small_seed_grows_off_the_line():
+    # near i = 0 but with beta*s > delta the line repels: the outbreak
+    # peaks at s = delta/beta, i = s0 - (delta/beta)(1 + ln(beta*s0/delta))
+    p = ModelParams(beta=1.0, gamma=0.0, delta=0.5)
+    traj = integrate(p, StepResponse(0.2), State(0.9, 1e-8))
+    assert traj.final_time > 50.0
+    assert traj.final_state.s < 0.5
+    peak = traj.evaluate(np.linspace(0.0, traj.final_time, 100_001))
+    s_peak, i_peak = peak[np.argmax(peak[:, 1])]
+    assert s_peak == pytest.approx(0.5, abs=1e-4)
+    assert i_peak == pytest.approx(0.9 - 0.5 * (1.0 + math.log(1.8)), abs=1e-6)
+    # exactly on the line nothing moves, whatever beta*s
+    still = integrate(p, StepResponse(0.2), State(0.9, 0.0))
+    assert still.final_time == 0.0
+    assert still.equilibrium == Equilibrium(
+        EquilibriumKind.DISEASE_FREE, State(0.9, 0.0), degenerate=True
+    )
+
+
 def _ramp(a, width):
     return TabulatedResponse(
         (0.0, a, a + width, 1.0), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0)
