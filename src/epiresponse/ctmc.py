@@ -18,14 +18,12 @@ aggregate rate exact).  Agents are exchangeable here, so only the counts
 (n_S, n_I, n_P) evolve; per-agent identity matters only for the
 contact-trace engine, which has its own machinery.
 
-Randomness is consumed in a fixed pattern (one gap and three uniforms per
-event, drawn in blocks), which makes runs bit-identical for a given seed
-across platforms.
-
-A run logs the time of every realized jump, one log per row of
-`sampling.MOVES`, and `sampling.counts_on_grid` turns the logs into grid
-samples afterwards, as trace replay does.  The transition tallies and the
-occupation integrals follow from the same logs, so every run returns them.
+As trace replay does, a run draws its clock from `sampling.clock_events`,
+which fixes how randomness is consumed, logs the time of every realized
+jump, one log per row of `sampling.MOVES`, and samples the logs on the
+grid afterwards with `sampling.counts_on_grid`.  The transition tallies
+and the occupation integrals follow from the same logs, so every run
+returns them.
 
 The response is evaluated through `model.compile_response`, the scalar
 kernel shared with the integrator and the trace engine; at a step
@@ -45,7 +43,7 @@ from .model import (
     State,
     compile_response,
 )
-from .sampling import MAX_CLOCK_EVENTS, MOVES, counts_on_grid, uniform_grid
+from .sampling import MOVES, check_work, clock_events, counts_on_grid, uniform_grid
 
 __all__ = [
     "AgentPopulation",
@@ -55,14 +53,6 @@ __all__ = [
     "sup_error",
     "convergence_study",
 ]
-
-_BLOCK = 1 << 16
-
-# Clock events a convergence study may draw in whole blocks.  Drawing and
-# converting a block takes ~2.4 ms (~36 ns an event), a tenth of what
-# processing an event takes, so at this cap a study's block draws take
-# about as long as `sampling.MAX_CLOCK_EVENTS` processed events.
-_MAX_BLOCK_DRAWS = 10**9
 
 # The names of the rows of MOVES in `SimRun.transition_counts`.
 _TRANSITIONS = ("infect", "protect", "unprotect", "recover")
@@ -150,10 +140,9 @@ def simulate_ctmc(
 ) -> SimRun:
     """Run the jump process from ``pop0`` until ``t_max``.
 
-    ``seed`` may be an int or a sequence of ints (a sequence selects an
-    independent substream, e.g. ``(base_seed, run_index)``).  Identical
-    seed and arguments give a bit-identical run.  A run expecting more
-    than `sampling.MAX_CLOCK_EVENTS` clock events, or a grid of more than
+    ``seed`` seeds the clock, `sampling.clock_events`; identical seed and
+    arguments give a bit-identical run.  A run expecting more than
+    `sampling.MAX_CLOCK_EVENTS` clock events, or a grid of more than
     `sampling.MAX_GRID_POINTS`, is refused before anything is drawn.
     """
     if t_max <= 0.0:
@@ -168,55 +157,37 @@ def simulate_ctmc(
     lam = n * total
     if math.isinf(lam):  # the clock would never advance
         raise ValueError("total event rate n * (beta + gamma + delta) overflows")
-    events = lam * t_max
-    if not events <= MAX_CLOCK_EVENTS:
-        raise ValueError(
-            f"n * (beta + gamma + delta) * t_max = {events:.3g} expected "
-            f"clock events, more than the budget of {MAX_CLOCK_EVENTS:.0e}"
-        )
+    check_work("n * (beta + gamma + delta) * t_max", lam * t_max)
     grid = uniform_grid(t_max, sample_dt)
     p_meet = beta / total
     p_meet_update = (beta + gamma) / total
     inv_n = 1.0 / n
-    rng = np.random.default_rng(seed)
 
     logs = tuple(array("d") for _ in MOVES)
     infect, protect, unprotect, recover = (log.append for log in logs)
-    t = 0.0
-    while True:
-        times = rng.exponential(1.0 / lam, _BLOCK)
-        uu = rng.random((_BLOCK, 3))
-        # The gaps become event times in place.  cumsum adds left to right,
-        # so these are the same floats as t += gap per event.
-        times[0] += t
-        np.cumsum(times, out=times)
-        last = int(np.searchsorted(times, t_max, side="right"))
-        for te, u1, u2, u3 in zip(times[:last].tolist(), *uu[:last].T.tolist()):
-            init = u2 * n
-            if u1 < p_meet:
-                if init < n_s and u3 * (n - 1) < n_i:
+    for te, u1, u2, u3 in clock_events(seed, lam, t_max):
+        init = u2 * n
+        if u1 < p_meet:
+            if init < n_s and u3 * (n - 1) < n_i:
+                n_s -= 1
+                n_i += 1
+                infect(te)
+        elif u1 < p_meet_update:
+            if init < n_s:
+                if u3 < resp(n_i * inv_n)[0]:
                     n_s -= 1
-                    n_i += 1
-                    infect(te)
-            elif u1 < p_meet_update:
-                if init < n_s:
-                    if u3 < resp(n_i * inv_n)[0]:
-                        n_s -= 1
-                        n_p += 1
-                        protect(te)
-                elif init >= n_s + n_i:
-                    if u3 < resp(n_i * inv_n)[1]:
-                        n_p -= 1
-                        n_s += 1
-                        unprotect(te)
-            else:
-                if n_s <= init < n_s + n_i:
-                    n_i -= 1
                     n_p += 1
-                    recover(te)
-        if last < _BLOCK:
-            break
-        t = float(times[-1])
+                    protect(te)
+            elif init >= n_s + n_i:
+                if u3 < resp(n_i * inv_n)[1]:
+                    n_p -= 1
+                    n_s += 1
+                    unprotect(te)
+        else:
+            if n_s <= init < n_s + n_i:
+                n_i -= 1
+                n_p += 1
+                recover(te)
 
     # A jump at time t adds its move to the occupation integrals for the
     # remaining t_max - t.
@@ -265,10 +236,9 @@ def convergence_study(
     decrease with n (law of large numbers); the contract under test is
     error(n_last) < error(n_first) once n_last >= 100 * n_first.
 
-    A study whose runs together expect more than
-    `sampling.MAX_CLOCK_EVENTS` clock events, or draw more than
-    `_MAX_BLOCK_DRAWS` in their blocks (every run draws at least one block
-    of 65,536 events), is refused before the reference flow is integrated.
+    A study whose runs together cost more than `sampling.MAX_CLOCK_EVENTS`
+    (`sampling.check_work`: clock events, grid points and a fixed cost per
+    run) is refused before the reference flow is integrated.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -278,16 +248,12 @@ def convergence_study(
     if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError("sample_dt must be positive and finite")
     total = params.beta + params.gamma + params.delta
-    events = runs_per_n * sum(n * total * t_max for n in n_list)
-    draws = runs_per_n * len(n_list) * _BLOCK
-    if not (events <= MAX_CLOCK_EVENTS and draws <= _MAX_BLOCK_DRAWS):
-        raise ValueError(
-            f"runs_per_n = {runs_per_n} runs for each n in n_list = {n_list} "
-            f"expect {events:.3g} clock events and draw at least {draws:.3g}, "
-            f"more than the budgets of {MAX_CLOCK_EVENTS:.0e} and "
-            f"{_MAX_BLOCK_DRAWS:.0e}"
-        )
     grid = uniform_grid(t_max, sample_dt)
+    check_work(
+        f"runs_per_n = {runs_per_n} runs for each n in n_list = {n_list}",
+        runs_per_n * sum(n * total * t_max + grid.size for n in n_list),
+        runs_per_n * len(n_list),
+    )
     reference = _reference_on_grid(params, spec, x0, grid, t_max)
     rows = []
     for n in n_list:

@@ -313,10 +313,10 @@ def integrate(
     (within ``equilibrium_eps``) to an admissible equilibrium and a field
     norm below ``equilibrium_eps`` (segment distance on L); the trajectory
     then carries the nearest such equilibrium (the first listed on a tie).
-    At gamma == 0 every point of the line i = 0 is stationary, so a state
-    on that line, or within ``equilibrium_eps`` of it where beta*s <= delta
-    (where the line attracts), also comes to rest, at a degenerate
-    disease-free point.
+    A state with i > 0 rests at a disease-free point only where the line
+    i = 0 attracts (beta*s <= delta).  At gamma == 0 every point of that
+    line is stationary, so a state on it, or near it where it attracts,
+    rests at a degenerate disease-free point.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -388,15 +388,16 @@ def integrate(
     fs, fi = rhs(s, i)
 
     def resting_at():
+        # the line i = 0 holds a run only where it attracts (beta*s <= delta,
+        # since di/dt = (beta*s - delta)*i there) or exactly on it
+        line_holds = i == 0.0 or beta * s <= delta
         near = None
         for es, ei, eq in eq_points:
-            if abs(s - es) <= eps and abs(i - ei) <= eps:
+            if abs(s - es) <= eps and abs(i - ei) <= eps and (ei > 0.0 or line_holds):
                 dist = max(abs(s - es), abs(i - ei))
                 if near is None or dist < near_dist:
                     near, near_dist = eq, dist
-        # the line i = 0 holds a run only where it attracts (beta*s <= delta,
-        # since di/dt = (beta*s - delta)*i there) or exactly on it
-        if near is None and line_rest and i <= eps and (i == 0.0 or beta * s <= delta):
+        if near is None and line_rest and i <= eps and line_holds:
             near = Equilibrium(
                 EquilibriumKind.DISEASE_FREE, State(s, 0.0), degenerate=True
             )

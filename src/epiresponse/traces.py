@@ -27,12 +27,13 @@ aggregate and per-class samples once the run is over.
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import ClassSpec, compile_response
-from .sampling import MAX_CLOCK_EVENTS, MOVES, counts_on_grid, uniform_grid
+from .sampling import MOVES, check_work, clock_events, counts_on_grid, uniform_grid
 
 __all__ = [
     "Contact",
@@ -257,10 +258,11 @@ class TraceResult:
 
 def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> TraceResult:
     """Monte-Carlo replay of ``trace`` under ``exp``; run k draws its
-    randomness from the substream (seed, k).  An experiment expecting
-    more than `sampling.MAX_CLOCK_EVENTS` clock events over all runs, or a
-    grid of more than `sampling.MAX_GRID_POINTS`, is refused before
-    anything is drawn."""
+    clock from `sampling.clock_events` with the substream (seed, k).  An
+    experiment whose runs together cost more than
+    `sampling.MAX_CLOCK_EVENTS` (`sampling.check_work`: clock events,
+    contacts, grid points and a fixed cost per run), or a grid of more than
+    `sampling.MAX_GRID_POINTS`, is refused before anything is drawn."""
     nodes = list(trace.node_ids)
     n = len(nodes)
     index = {nid: j for j, nid in enumerate(nodes)}
@@ -293,13 +295,13 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     span = trace.duration
     gamma, delta = exp.gamma, exp.delta
     clock_rate = n * (gamma + delta)
-    events = exp.runs * clock_rate * span
-    if not events <= MAX_CLOCK_EVENTS:
-        raise ValueError(
-            f"runs * nodes * (gamma + delta) * span = {events:.3g} expected "
-            f"clock events, more than the budget of {MAX_CLOCK_EVENTS:.0e}"
-        )
+    n_contacts = len(trace.contacts)
     grid = uniform_grid(span, exp.grid_dt)
+    check_work(
+        f"runs = {exp.runs} replays of {n_contacts} contacts",
+        exp.runs * (clock_rate * span + n_contacts + grid.size),
+        exp.runs,
+    )
     cut = 0.1 * span if exp.transient_cut is None else exp.transient_cut
     cut_idx = int(np.searchsorted(grid, cut))
     if cut_idx == grid.size:
@@ -308,7 +310,6 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     c_start = [c.t_start for c in trace.contacts]
     c_a = [index[c.a] for c in trace.contacts]
     c_b = [index[c.b] for c in trace.contacts]
-    n_contacts = len(c_start)
 
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
     inv_n = 1.0 / n
@@ -331,62 +332,40 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     final_states = np.empty((exp.runs, n), dtype=np.int8)
 
     for run in range(exp.runs):
-        rng = np.random.default_rng((seed, run))
-        # Pre-generate the clock-event stream over the span.
-        if clock_rate > 0.0:
-            times: list[float] = []
-            t_acc = 0.0
-            while t_acc <= span:
-                gaps = rng.exponential(1.0 / clock_rate, 4096)
-                cum = t_acc + np.cumsum(gaps)
-                t_acc = float(cum[-1])
-                times.extend(cum.tolist())
-            while times and times[-1] > span:
-                times.pop()
-            uu = rng.random((len(times), 3))
-            u_type = uu[:, 0].tolist()
-            u_agent = uu[:, 1].tolist()
-            u_act = uu[:, 2].tolist()
-            clock_times = times
-        else:
-            clock_times = []
-            u_type = u_agent = u_act = []
-        n_clocks = len(clock_times)
-
         st = list(init_state)
         n_inf = st.count(_I)
         logs = [array("d") for _ in jumps]
 
-        ci = cj = 0
-        while ci < n_contacts or cj < n_clocks:
-            tc = c_start[ci] if ci < n_contacts else math.inf
-            tk = clock_times[cj] if cj < n_clocks else math.inf
-            if tc <= tk:
+        # Contacts win ties; a last clock at inf drains the contacts left.
+        ci = 0
+        clock = clock_events((seed, run), clock_rate, span)
+        for tk, u_type, u_agent, u_act in chain(clock, [(math.inf, None, None, None)]):
+            while ci < n_contacts and c_start[ci] <= tk:
                 ja, jb = c_a[ci], c_b[ci]
                 sa, sb = st[ja], st[jb]
                 if (sa == _S and sb == _I) or (sa == _I and sb == _S):
                     j = ja if sa == _S else jb
                     st[j] = _I
                     n_inf += 1
-                    logs[code_base[j]].append(tc)
+                    logs[code_base[j]].append(c_start[ci])
                 ci += 1
-            else:
-                j = int(u_agent[cj] * n)
-                sj = st[j]
-                if u_type[cj] < p_update:
-                    if sj == _S:
-                        if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[0]:
-                            st[j] = _P
-                            logs[code_base[j] + 1].append(tk)
-                    elif sj == _P:
-                        if u_act[cj] < resp_fns[class_of[j]](n_inf * inv_n)[1]:
-                            st[j] = _S
-                            logs[code_base[j] + 2].append(tk)
-                elif sj == _I:
-                    st[j] = _P
-                    n_inf -= 1
-                    logs[code_base[j] + 3].append(tk)
-                cj += 1
+            if u_type is None:
+                break
+            j = int(u_agent * n)
+            sj = st[j]
+            if u_type < p_update:
+                if sj == _S:
+                    if u_act < resp_fns[class_of[j]](n_inf * inv_n)[0]:
+                        st[j] = _P
+                        logs[code_base[j] + 1].append(tk)
+                elif sj == _P:
+                    if u_act < resp_fns[class_of[j]](n_inf * inv_n)[1]:
+                        st[j] = _S
+                        logs[code_base[j] + 2].append(tk)
+            elif sj == _I:
+                st[j] = _P
+                n_inf -= 1
+                logs[code_base[j] + 3].append(tk)
 
         counts = counts_on_grid(initial.ravel(), jumps, logs, grid).reshape(
             grid.size, 1 + n_classes, 3

@@ -388,12 +388,26 @@ BUDGET_CASES = {
     "grid": ("simulate", SIM_CFG.replace("sample_dt = 0.5", "sample_dt = 1e-9"), "cap"),
     "events": ("simulate", SIM_CFG.replace("beta = 1\n", "beta = 1e12\n"), "budget"),
     "trace-grid": ("trace", TRACE_CFG.replace("grid_dt = 60", "grid_dt = 1e-6"), "cap"),
-    # every run draws at least one 65,536-event block, however short
+    # every run has a fixed cost, however few events it expects
     "converge-study": (
         "converge",
         SLIDING_CFG + "n_list = 10\nruns_per_n = 10000000\ns0 = 0.9\ni0 = 0.1\n"
         "t_max = 1\nseed = 1\n",
         "runs_per_n = 10000000 runs for each n in n_list = [10]",
+    ),
+    # no clock at all: the runs and their contacts are the work
+    "trace-runs": (
+        "trace",
+        TRACE_CFG.replace("gamma = 0.001\ndelta = 0.0005\n", "gamma = 0\ndelta = 0\n")
+        .replace("runs = 2\n", "runs = 100000000\n"),
+        "runs = 100000000 replays of 5 contacts",
+    ),
+    # each run samples its whole grid of 482,001 points: ~0.1 s a run
+    "trace-grid-runs": (
+        "trace",
+        TRACE_CFG.replace("grid_dt = 60", "grid_dt = 0.005")
+        .replace("runs = 2\n", "runs = 50000\n"),
+        "runs = 50000 replays of 5 contacts",
     ),
 }
 
@@ -428,13 +442,16 @@ def test_start_off_the_simplex_names_s0_and_i0(tmp_path, capsys, command):
 
 # SHA-256 of the stochastic engines' outputs on test_acceptance.CONFIGS.
 # A change to the random stream or to the rounding of a sample changes
-# these digests; such a change must be deliberate and announced.
+# these digests; such a change must be deliberate and announced.  Both
+# were re-pinned when the engines came to share `sampling.clock_events`:
+# its blocks are sized to the run's expected events, so a run expecting
+# fewer than 65,536 (both of these) draws a new stream.
 PINNED_SHA256 = {
     ("simulate", "run.csv"): (
-        "9e3c2afcb7014fe21c0a3ee1902795a1c15b2b56d4e6022c7137ca10137c5af6"
+        "4da52e74920196b0b3cdbe4bb249bdb47cdfda24cd634186e004b723483eda38"
     ),
     ("trace", "trace_avg.csv"): (
-        "f7157083ca34dd462c4f255120a2dff2ecb76a3bb25c88b4d8821cf116637d62"
+        "fce211144a5843256ff7981339b4bbcbf56145a2aac33085eeb7a099aa6c59bf"
     ),
 }
 
@@ -446,6 +463,16 @@ def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
     assert code == 0
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digest == PINNED_SHA256[(command, name)]
+
+
+def test_a_run_of_full_clock_blocks_keeps_its_stream(tmp_path):
+    # 125,000 expected events: every block holds 65,536, as the jump
+    # process drew them before its blocks were sized to the run
+    cfg = SIM_CFG.replace("n = 100\n", "n = 10000\n")
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0
+    digest = hashlib.sha256((out / "run.csv").read_bytes()).hexdigest()
+    assert digest == "54dd4f24a59bbd0eecc8fd83414e695f1bb46bdddfc810f39e1f8485844692b1"
 
 
 # --------------------------------------------------------------------- seeds

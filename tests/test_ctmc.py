@@ -247,9 +247,9 @@ def test_convergence_study_pairs_runs_and_shrinks_error():
 
 
 def test_convergence_study_admits_a_thousand_short_runs_per_n(monkeypatch):
-    # 2,000 runs draw 1.3e8 clock events in their blocks but expect only
-    # 75,000: the study is admitted.  Each n replays one real run, so the
-    # test takes milliseconds instead of the study's ~5 s.
+    # 2,000 runs expect 75,000 clock events and cost 2,000 fixed run costs:
+    # the study is admitted.  Each n replays one real run, so the test takes
+    # milliseconds instead of the study's ~0.4 s.
     import epiresponse.ctmc as ctmc
 
     spec = StepResponse(0.2)
@@ -266,9 +266,10 @@ def test_convergence_study_admits_a_thousand_short_runs_per_n(monkeypatch):
         t_max=1.0, seed=1,
     )
     assert [(r.n, r.runs) for r in rows] == [(10, 1000), (20, 1000)]
-    with pytest.raises(ValueError, match="runs_per_n = 8000 runs"):
+    # 400,000 short runs are refused on their fixed cost alone (~80 s)
+    with pytest.raises(ValueError, match="runs_per_n = 200000 runs"):
         convergence_study(
-            FIG, spec, State(0.9, 0.1), n_list=(10, 20), runs_per_n=8000,
+            FIG, spec, State(0.9, 0.1), n_list=(10, 20), runs_per_n=200000,
             t_max=1.0, seed=1,
         )
 

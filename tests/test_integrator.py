@@ -157,6 +157,18 @@ def test_gamma_zero_small_seed_grows_off_the_line():
     )
 
 
+def test_a_small_seed_leaves_an_unstable_disease_free_point():
+    # X0 = (1, 0) with beta*s > delta repels: a start within eps of it
+    # grows into the outbreak, as one 100x further out does
+    spec = SigmoidResponse(0.3, 0.05)
+    for i0 in (5e-8, 5e-6):
+        traj = integrate(FIG, spec, State(1.0 - i0, i0))
+        assert traj.final_time > 40.0
+        assert traj.equilibrium.kind is EquilibriumKind.ENDEMIC
+    # exactly on the line the disease-free point holds
+    assert integrate(FIG, spec, State(1.0, 0.0)).final_time == 0.0
+
+
 def _ramp(a, width):
     return TabulatedResponse(
         (0.0, a, a + width, 1.0), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epiresponse.model import ClassSpec, StepResponse
-from epiresponse.sampling import MAX_GRID_POINTS, counts_on_grid, uniform_grid
+from epiresponse.sampling import (
+    MAX_GRID_POINTS,
+    clock_events,
+    counts_on_grid,
+    uniform_grid,
+)
 from epiresponse.traces import Contact, ContactTrace, TraceExperiment, run_trace_experiment
 
 
@@ -117,3 +122,32 @@ def test_trace_row_on_a_contact_time_shows_the_infection():
     infected = res.mean_fractions[:, 0, 1] * 3
     np.testing.assert_allclose(infected, [1, 1, 2, 2, 2, 3], rtol=1e-15)
     np.testing.assert_array_equal(res.mean_fractions[:, 0], res.mean_fractions[:, 1])
+
+
+# ------------------------------------------------------------------- clock
+
+
+@pytest.mark.parametrize("rate, t_end", [(3.0, 5.0), (0.01, 2.0), (1e5, 1.5)])
+def test_clock_events_are_sorted_within_the_span(rate, t_end):
+    # the last case expects 150,000 events: three blocks of 65,536
+    count, prev = 0, 0.0
+    for t, *uu in clock_events((4, 2), rate, t_end):
+        assert prev <= t <= t_end
+        assert all(0.0 <= u < 1.0 for u in uu)
+        count, prev = count + 1, t
+    expected = rate * t_end
+    assert abs(count - expected) <= 5 * expected**0.5 + 1
+
+
+def test_clock_events_at_rate_zero_draw_nothing(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert list(clock_events(1, 0.0, 10.0)) == []
+
+
+def test_clock_events_repeat_for_a_seed():
+    a = list(clock_events((7, 0), 40.0, 3.0))
+    assert a == list(clock_events((7, 0), 40.0, 3.0))
+    assert a != list(clock_events((7, 1), 40.0, 3.0))

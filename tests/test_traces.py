@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epiresponse
 from epiresponse.model import ClassSpec, SigmoidResponse, StepResponse
 from epiresponse.traces import (
     Contact,
@@ -324,3 +328,29 @@ def test_two_class_fractions_are_per_class():
     mix = (3 * res.mean_fractions[:, 1] + 6 * res.mean_fractions[:, 2]) / 9
     assert np.allclose(res.mean_fractions[:, 0], mix)
     assert res.class_of.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_a_long_run_holds_one_clock_block_at_a_time():
+    # 5 nodes * (100 + 66) / s * 2410 s = 2e6 clock events in one run.  A
+    # run that drew its whole clock stream up front peaked near 390 MB.
+    # VmHWM is the peak RSS of the child alone: its ru_maxrss would also
+    # count the test process it was spawned from.
+    script = (
+        "from epiresponse.model import ClassSpec, SigmoidResponse\n"
+        "from epiresponse.traces import TraceExperiment, parse_trace, "
+        "run_trace_experiment\n"
+        f"trace = parse_trace(open({str(DATA / 'five_node.csv')!r}))\n"
+        "exp = TraceExperiment(100.0, 66.0, (ClassSpec(1.0, "
+        "SigmoidResponse(0.5, 0.01)),), {0: 'I', 1: 'S', 2: 'S', 3: 'S', "
+        "4: 'S'}, runs=1)\n"
+        "run_trace_experiment(trace, exp, seed=3)\n"
+        "print(*(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(epiresponse.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert int(out.stdout) < 150 * 1024
