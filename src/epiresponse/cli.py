@@ -244,7 +244,10 @@ def cmd_sweep_gamma(values, args) -> int:
     if not (0.0 < lo < hi):
         raise ConfigError("key 'gamma_min': need 0 < gamma_min < gamma_max")
     if values["log_spacing"]:
-        grid = np.logspace(math.log10(lo), math.log10(hi), values["gamma_count"])
+        with np.errstate(over="ignore"):
+            grid = np.logspace(math.log10(lo), math.log10(hi), values["gamma_count"])
+        if not np.isfinite(grid).all():
+            raise ConfigError(f"key 'gamma_max': {hi!r} overflows to inf on a log grid")
     else:
         grid = np.linspace(lo, hi, values["gamma_count"])
     spec = build_response(values)

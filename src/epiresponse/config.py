@@ -97,7 +97,7 @@ def _as_float(key: str, raw: str) -> float:
     return value
 
 
-def _with_unit(key: str, raw: str, units: dict, scale_applies) -> float:
+def _with_unit(key: str, raw: str, units: dict) -> float:
     parts = raw.split()
     if len(parts) == 1:
         return _as_float(key, parts[0])
@@ -109,7 +109,10 @@ def _with_unit(key: str, raw: str, units: dict, scale_applies) -> float:
                 f"key '{key}': unknown unit '{unit}' (expected one of"
                 f" {', '.join(sorted(units))})"
             )
-        return scale_applies(number, units[unit])
+        value = number * units[unit]
+        if not math.isfinite(value):
+            raise ConfigError(f"key '{key}': must be finite, got {raw!r} = {value}")
+        return value
     raise ConfigError(f"key '{key}': expected 'number [unit]', got {raw!r}")
 
 
@@ -118,9 +121,9 @@ def _convert(key: str, raw: str, field: Field):
     if kind == "float":
         return _as_float(key, raw)
     if kind == "rate":
-        return _with_unit(key, raw, _RATE_UNITS, lambda v, f: v * f)
+        return _with_unit(key, raw, _RATE_UNITS)
     if kind == "time":
-        return _with_unit(key, raw, _TIME_UNITS, lambda v, f: v * f)
+        return _with_unit(key, raw, _TIME_UNITS)
     if kind == "int":
         try:
             return int(raw)

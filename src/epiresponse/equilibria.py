@@ -74,7 +74,7 @@ class Equilibrium:
     mixing probability delta*i_star / (gamma*(1 - delta/beta - i_star))
     that holds the state on the line (taking the susceptible->protected
     probability as 0).  ``degenerate`` marks coincidences (X1 collapsing
-    onto X0 at delta == beta, or a continuous-response root at i = 0);
+    onto X0 at delta/beta == s0 up to round-off, or at gamma == 0);
     ``boundary`` marks a sliding point whose admissibility condition holds
     with equality, where X1 and X2 coincide.
     """
@@ -126,9 +126,15 @@ class SweepRow(NamedTuple):
     kind: EquilibriumKind
 
 
-def _endemic_i_step(params: ModelParams) -> float:
+def _endemic_i_step(beta: float, gamma: float, delta: float) -> float:
     """I-coordinate gamma*(1 - delta/beta)/(gamma + delta) of the step-response X1."""
-    return params.gamma * (1.0 - params.delta / params.beta) / (params.gamma + params.delta)
+    return gamma * (1.0 - delta / beta) / (gamma + delta)
+
+
+def _folds_into_x0(s0: float, s_eq: float) -> bool:
+    """delta/beta = s_eq within one rounding (2^-52) below X0's s0, or above:
+    X1 would sit at i ~ 1e-16, on X0 up to round-off, and folds into it."""
+    return s0 - s_eq <= 2.0**-52 * s0
 
 
 def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium]:
@@ -138,24 +144,19 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
     (gamma + delta): X1 = (delta/beta, I1) is admissible iff I1 < i_star
     (strictly), and X2 = (delta/beta, i_star) iff i_star <= I1.  The two
     conditions partition delta < beta; at equality only X2 is reported,
-    flagged ``boundary`` (X1 and X2 coincide there).  At delta == beta the
-    would-be X1 collapses onto X0, and at gamma == 0 the whole line i = 0
-    is stationary; both leave X0 alone, flagged ``degenerate``.
+    flagged ``boundary`` (X1 and X2 coincide there).  At delta == beta (up
+    to round-off) X1 collapses onto X0, and at gamma == 0 the whole line
+    i = 0 is stationary; both leave X0 alone, flagged ``degenerate``.
     """
     if not (0.0 < i_star <= 1.0):
         raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    out = [
-        Equilibrium(
-            EquilibriumKind.DISEASE_FREE,
-            State(1.0, 0.0),
-            degenerate=(delta == beta or gamma == 0.0),
-        )
-    ]
-    if delta >= beta or gamma == 0.0:
-        return out
     s_eq = delta / beta
-    i1 = _endemic_i_step(params)
+    degenerate = gamma == 0.0 or (delta <= beta and _folds_into_x0(1.0, s_eq))
+    out = [Equilibrium(EquilibriumKind.DISEASE_FREE, State(1.0, 0.0), degenerate=degenerate)]
+    if delta >= beta or degenerate:
+        return out
+    i1 = _endemic_i_step(beta, gamma, delta)
     if i1 < i_star:
         out.append(Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1)))
     else:
@@ -223,8 +224,8 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
     X0 = (p_ps(0)/(p_sp(0) + p_ps(0)), 0); the endemic point
     X1 = (delta/beta, I1) with g(I1) = 0 exists iff delta/beta <=
     p_ps(0)/(p_sp(0) + p_ps(0)) — equivalently g(0) >= 0 — and is located
-    by bisection.  At equality the root sits at i = 0 and X1 coincides
-    with X0 (single equilibrium, flagged ``degenerate``).
+    by bisection.  At equality (up to round-off) X1 coincides with X0
+    (single equilibrium, flagged ``degenerate``).
     """
     if not isinstance(spec, CONTINUOUS_RESPONSES):
         raise TypeError(f"continuous response required, got {spec!r}")
@@ -239,10 +240,9 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
     rhs = compile_field(params, spec)
     s_eq = params.delta / params.beta
     g0 = rhs(s_eq, 0.0)[0]
-    x0 = Equilibrium(
-        EquilibriumKind.DISEASE_FREE, State(s0, 0.0), degenerate=(g0 == 0.0)
-    )
-    if g0 <= 0.0:
+    degenerate = g0 == 0.0 or (g0 > 0.0 and _folds_into_x0(s0, s_eq))
+    x0 = Equilibrium(EquilibriumKind.DISEASE_FREE, State(s0, 0.0), degenerate=degenerate)
+    if g0 < 0.0 or degenerate:
         return [x0]
     i1 = _bisect_g(rhs, s_eq)
     return [x0, Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1))]
@@ -353,9 +353,10 @@ class SlidingNormalForm:
 
     @property
     def p_minus_0(self) -> float:
-        return self.delta * self.i_star - self.gamma * (
-            1.0 - self.delta / self.beta - self.i_star
-        )
+        """delta*i_star - gamma*(1 - delta/beta - i_star) = (gamma + delta)*(i_star - I1),
+        whose sign is exactly that of the test i_star <= I1 admitting X2."""
+        i1 = _endemic_i_step(self.beta, self.gamma, self.delta)
+        return (self.gamma + self.delta) * (self.i_star - i1)
 
     @property
     def p_x(self) -> float:
@@ -392,26 +393,22 @@ def stability_sliding(params: ModelParams, i_star: float) -> StabilityReport:
 
         A+- = (2/3) * ((P_x + Q_y)/P - Q_xx/(2*Q_x))   at the origin,
 
-    evaluated with the respective one-sided P.  The criterion requires
-    Q(0,0) = 0 on both sides, P-(0,0) < 0, P+(0,0) > 0 and Q_x(0,0) < 0;
-    the point is asymptotically stable iff A+ - A- < 0.  P-(0,0) < 0 is
-    exactly the admissibility condition of the sliding point, so
-    `HypothesisViolated` here means there is no X2 to classify.
+    evaluated with the respective one-sided P; here Q_y = Q_xx = 0.  The
+    point is asymptotically stable iff A+ - A- < 0, given P-(0,0) < 0 <
+    P+(0,0); where either is 0 (X1 = X2, or underflow) the verdict is
+    BOUNDARY, without A+-.  `HypothesisViolated` means that
+    `find_equilibria_step` lists no X2 to classify.
     """
-    if not (0.0 < i_star <= 1.0):
-        raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
-    nf = sliding_normal_form(params, i_star)
-    if nf.p_minus_0 >= 0.0:
+    last = find_equilibria_step(params, i_star)[-1]
+    if last.kind is not EquilibriumKind.SLIDING:
         raise HypothesisViolated(
-            f"P-(0,0) = {nf.p_minus_0} >= 0: the sliding point is not admissible"
+            f"no sliding point at i_star = {i_star}: {last.kind.value} is listed last"
         )
-    if not nf.p_plus_0 > 0.0:  # pragma: no cover - positive by construction
-        raise HypothesisViolated(f"P+(0,0) = {nf.p_plus_0} <= 0")
-    if not nf.q_x < 0.0:  # pragma: no cover - negative by construction
-        raise HypothesisViolated(f"Q_x(0,0) = {nf.q_x} >= 0")
-    common = nf.p_x + nf.q_y
-    a_plus = (2.0 / 3.0) * (common / nf.p_plus_0 - nf.q_xx / (2.0 * nf.q_x))
-    a_minus = (2.0 / 3.0) * (common / nf.p_minus_0 - nf.q_xx / (2.0 * nf.q_x))
+    nf = sliding_normal_form(params, i_star)
+    if nf.p_minus_0 == 0.0 or nf.p_plus_0 == 0.0:
+        return StabilityReport(verdict=Verdict.BOUNDARY)
+    a_plus = (2.0 / 3.0) * (nf.p_x / nf.p_plus_0)
+    a_minus = (2.0 / 3.0) * (nf.p_x / nf.p_minus_0)
     verdict = (
         Verdict.ASYMPTOTICALLY_STABLE if a_plus - a_minus < 0.0 else Verdict.UNSTABLE
     )
@@ -430,8 +427,8 @@ def equilibrium_infection_vs_gamma(
 
     for delta < beta and gamma > 0 (zero otherwise): the endemic level
     rises with gamma until it saturates at the threshold, after which the
-    sliding point pins the infection at i_star.  At gamma == 0 the row is
-    disease-free, as `find_equilibria_step` reports it.
+    sliding point pins the infection at i_star.  At gamma == 0 or delta ==
+    beta up to round-off the row is disease-free, as `find_equilibria_step` has it.
     """
     if not (0.0 < i_star <= 1.0):
         raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
@@ -439,10 +436,10 @@ def equilibrium_infection_vs_gamma(
     for gamma in gamma_grid:
         if gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {gamma}")
-        if delta >= beta or gamma == 0.0:
+        if delta >= beta or gamma == 0.0 or _folds_into_x0(1.0, delta / beta):
             rows.append(SweepRow(gamma, 0.0, EquilibriumKind.DISEASE_FREE))
             continue
-        uncapped = gamma * (1.0 - delta / beta) / (gamma + delta)
+        uncapped = _endemic_i_step(beta, gamma, delta)
         if i_star <= uncapped:
             rows.append(SweepRow(gamma, i_star, EquilibriumKind.SLIDING))
         else:

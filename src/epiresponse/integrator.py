@@ -111,8 +111,8 @@ class IntegratorConfig:
             "event_tol",
             "equilibrium_eps",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # Sliding-point endgame: terminate at the sliding equilibrium once its

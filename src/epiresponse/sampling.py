@@ -82,9 +82,11 @@ def _clock_blocks(seed, rate, t_end):
         times = rng.exponential(1.0 / rate, block)
         uu = rng.random((block, 3))
         # The gaps become event times in place.  cumsum adds left to right,
-        # so these are the same floats as t += gap per event.
+        # so these are the same floats as t += gap per event.  A sum that
+        # overflows to inf lies past t_end, so the overflow is harmless.
         times[0] += t
-        np.cumsum(times, out=times)
+        with np.errstate(over="ignore"):
+            np.cumsum(times, out=times)
         last = int(np.searchsorted(times, t_end, side="right"))
         yield zip(times[:last].tolist(), *uu[:last].T.tolist())
         if last < block:

@@ -103,6 +103,43 @@ def test_unreadable_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rates, i_star, verdict",
+    [
+        ("beta = 2\ngamma = 1\ndelta = 1\n", "0.25", "boundary"),  # i_star == I1
+        ("beta = 1\ngamma = 1e-300\ndelta = 1e-308\n", "1e-20", "boundary"),  # P+ = 0
+        ("beta = 1e-300\ngamma = 1\ndelta = 1e-310\n", "1e-30", "asymptotically_stable"),
+    ],
+)
+def test_every_listed_sliding_point_is_classified(tmp_path, rates, i_star, verdict):
+    # a tie i_star == I1 and underflowing rates: each listed X2 gets a verdict
+    cfg = rates + f"kind = step\ni_star = {i_star}\n"
+    code, out = run(tmp_path, "equilibria", cfg, name="eq")
+    assert code == 0
+    entry = json.loads((out / "equilibria.json").read_text())["equilibria"][-1]
+    assert entry["kind"] == "sliding"
+    assert entry["stability"]["verdict"] == verdict
+    if verdict == "boundary":
+        assert entry["stability"]["a_plus"] is entry["stability"]["a_minus"] is None
+    code, _ = run(tmp_path, "integrate", cfg + "s0 = 0.9\ni0 = 0.05\n", name="int")
+    assert code == 0
+    code, _ = run(tmp_path, "basin", cfg + "grid_n = 4\n", name="basin")
+    assert code == 0
+
+
+def test_boundary_sliding_point_is_reached_without_capture(tmp_path, capsys):
+    # a boundary verdict arms no spiral capture; the run still rests at X2
+    cfg = "beta = 2\ngamma = 1\ndelta = 1\nkind = step\ni_star = 0.25\ns0 = 0.9\ni0 = 0.05\n"
+    code, out = run(tmp_path, "integrate", cfg)
+    assert code == 0
+    assert "terminated: equilibrium at t = 22.1" in capsys.readouterr().out
+    _, rows = read_csv(out / "trajectory.csv")
+    assert [float(v) for v in rows[-1][1:3]] == pytest.approx([0.5, 0.25], abs=1e-7)
+    _, events = read_csv(out / "events.csv")
+    assert events[-1][1] == "ReachedEquilibrium"
+    assert "HitSliding" not in {event for _, event in events}
+
+
 # ---------------------------------------------------------------- integrate
 
 
@@ -271,6 +308,17 @@ def test_sweep_gamma_sigmoid_levels_increase(tmp_path):
     assert levels == sorted(levels)
     assert all(r[2] == "endemic" for r in rows)
     assert levels[-1] < 0.3 + 0.05  # capped around the threshold band
+
+
+def test_sweep_gamma_log_grid_overflow_names_gamma_max(tmp_path, capsys):
+    cfg = (
+        "beta = 1\ndelta = 0.5\nkind = step\ni_star = 0.3\n"
+        "gamma_min = 1\ngamma_max = 1.7976931348622105e+308\nlog_spacing = true\n"
+    )
+    code, out = run(tmp_path, "sweep-gamma", cfg)
+    assert code == 2
+    assert "key 'gamma_max'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 # ----------------------------------------------------------------- simulate

@@ -91,6 +91,8 @@ def test_unit_errors_name_the_key():
         parse_config("beta = 1 2 3", SCHEMA)
     with pytest.raises(ConfigError, match="key 'beta'"):
         parse_config("beta = nan", SCHEMA)
+    with pytest.raises(ConfigError, match="key 't_max': must be finite, got '1e308 days'"):
+        parse_config("beta = 1\nt_max = 1e308 days", SCHEMA)
 
 
 def test_scalar_conversions():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from epiresponse.equilibria import (
     BOUNDARY_EPS,
@@ -104,14 +104,18 @@ def test_boundary_aux_when_i1_rounds_to_the_line_end():
     assert x2.aux == 1.0
 
 
+@example(beta=1.0, gamma=1.0, delta=0.9999999999999999, i_star=0.5)
 @given(rates, rates, rates, st.floats(1e-3, 1.0))
 def test_step_partition_is_exhaustive_and_exclusive(beta, gamma, delta, i_star):
     p = ModelParams(beta, gamma, delta)
     eqs = find_equilibria_step(p, i_star)
     ks = kinds(eqs)
     assert ks[0] is EquilibriumKind.DISEASE_FREE
-    if delta >= beta:
+    # delta/beta within one rounding of 1 puts X1 on X0 up to round-off:
+    # it is folded into X0, as at delta == beta
+    if delta >= beta or 1.0 - delta / beta <= 2.0**-52:
         assert len(eqs) == 1
+        assert eqs[0].degenerate is (delta <= beta)
         return
     assert len(eqs) == 2
     i1 = gamma * (1.0 - delta / beta) / (gamma + delta)
@@ -173,6 +177,19 @@ def test_no_root_when_protection_dominates_at_zero():
         endemic_root(p, spec)
     eqs = find_equilibria_continuous(p, spec)
     assert kinds(eqs) == [EquilibriumKind.DISEASE_FREE]
+
+
+@pytest.mark.parametrize(
+    "spec", [SigmoidResponse(0.5, 0.125), ConstantResponse(0.0, 1.0)]
+)
+def test_endemic_root_within_round_off_of_x0_folds_into_it(spec):
+    # s0 = 1 and delta/beta = 1 - 2^-53: g(0) > 0 by one rounding, and
+    # the root would sit at i ~ 1e-13, on X0 up to the bisection tolerance
+    p = ModelParams(beta=1.0, gamma=1.0, delta=0.9999999999999999)
+    assert g_function(p, spec, 0.0) > 0.0
+    (x0,) = find_equilibria_continuous(p, spec)
+    assert x0.point == State(1.0, 0.0)
+    assert x0.degenerate
 
 
 def test_degenerate_root_at_zero():
@@ -244,11 +261,11 @@ def test_disease_free_stable_below_threshold_ratio():
 @example(beta=0.05000000000000001, gamma=1.0, delta=0.05, i_star=0.5)
 @given(rates, rates, rates, st.floats(1e-3, 1.0))
 def test_endemic_point_stable_whenever_admissible(beta, gamma, delta, i_star):
-    # An admissible endemic point is never unstable or a saddle.  With beta
-    # within round-off of delta it sits on the transcritical bifurcation
-    # (the pinned draw: i = 1.06e-16, eigenvalues -1 and ~0), where the
-    # verdict is boundary; the test decides which from an independent
-    # eigenvalue solve.
+    # An admissible endemic point is never unstable or a saddle.  Near the
+    # transcritical bifurcation at beta = delta the verdict may be
+    # boundary; the test decides which from an independent eigenvalue
+    # solve.  (With beta within one rounding of delta, as in the pinned
+    # draw, X1 is folded into X0 and not listed.)
     p = ModelParams(beta, gamma, delta)
     spec = StepResponse(i_star)
     for eq in find_equilibria_step(p, i_star)[1:]:
@@ -346,8 +363,46 @@ def test_sliding_point_always_stable_when_admissible(beta, gamma, delta, i_star)
         rep = stability_sliding(p, i_star)
     except HypothesisViolated:
         return
+    if rep.verdict is Verdict.BOUNDARY:
+        # an exact tie i_star == I1: X1 and X2 coincide
+        assert find_equilibria_step(p, i_star)[-1].boundary
+        return
     assert rep.a_plus < 0.0 < rep.a_minus
     assert rep.verdict is Verdict.ASYMPTOTICALLY_STABLE
+
+
+def _nudged(x, ulps):
+    """x moved ``ulps`` representable doubles up (ulps > 0) or down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@example(beta=2.0, gamma=1.0, delta=1.0, i_star=0.25, ulps=None)
+@example(beta=1.0, gamma=1e-300, delta=1e-308, i_star=1e-20, ulps=None)  # P+(0,0) = 0
+@example(beta=1e-300, gamma=1.0, delta=1e-310, i_star=1e-30, ulps=None)  # Q_x(0,0) = -0
+@given(rates, rates, rates, st.floats(1e-3, 1.0), st.none() | st.integers(-4, 4))
+def test_stability_sliding_classifies_exactly_the_listed_sliding_point(
+    beta, gamma, delta, i_star, ulps
+):
+    """stability_sliding raises iff find_equilibria_step lists no X2, and
+    is BOUNDARY iff P-(0,0) or P+(0,0) is 0; ``ulps`` puts i_star within
+    4 ulps of I1, where one rounding decides whether X2 exists."""
+    p = ModelParams(beta, gamma, delta)
+    if ulps is not None:
+        i_star = _nudged(gamma * (1.0 - delta / beta) / (gamma + delta), ulps)
+        assume(0.0 < i_star <= 1.0)
+    listed = find_equilibria_step(p, i_star)[-1].kind is EquilibriumKind.SLIDING
+    try:
+        rep = stability_sliding(p, i_star)
+    except HypothesisViolated:
+        assert not listed
+        return
+    assert listed
+    nf = sliding_normal_form(p, i_star)
+    boundary = nf.p_minus_0 == 0.0 or nf.p_plus_0 == 0.0
+    assert (rep.verdict is Verdict.BOUNDARY) is boundary
+    assert (rep.a_plus is None) is (rep.a_minus is None) is boundary
 
 
 # ------------------------------------------------------------------- sweep

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from epiresponse.equilibria import (
@@ -56,6 +56,9 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_max=-1.0)
+    for name in ("rel_tol", "abs_tol", "t_max", "event_tol", "equilibrium_eps"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            IntegratorConfig(**{name: math.inf})
 
 
 # ------------------------------------------------------------ smooth flows
@@ -212,7 +215,17 @@ def _distance(x, eq):
     return max(abs(x[0] - eq.point.s), abs(x[1] - eq.point.i))
 
 
+# delta/beta = 1 - 2^-53 would put X1 at i ~ 1e-16, within round-off of X0;
+# folded into X0, it cannot hold this start, which lies nearer X0
+_ROUNDED_X1 = dict(
+    params=ModelParams(1.0, 1.0, 0.9999999999999999),
+    starts=[State(1.0, 2.7466064681106916e-157)],
+)
+
+
 @settings(max_examples=100, deadline=None)
+@example(spec=StepResponse(0.5), **_ROUNDED_X1)
+@example(spec=SigmoidResponse(0.5, 0.125), **_ROUNDED_X1)
 @given(params=PARAMS, spec=RESPONSES, starts=st.lists(STARTS, min_size=1, max_size=3))
 def test_rest_rule_names_the_nearest_listed_equilibrium(params, spec, starts):
     """A trajectory carries the listed equilibrium nearest to its final
