@@ -513,6 +513,70 @@ def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
     assert digest == PINNED_SHA256[(command, name)]
 
 
+# SHA-256 of the deterministic integrator's outputs.  `integrate` and
+# `basin` write what the Dormand-Prince steps, the crossing location, the
+# sliding capture and the rest test compute, to the last bit; a rewrite of
+# the integration loop must leave every one of these unchanged.
+INTEGRATOR_RUNS = {
+    "capture": ("integrate", SLIDING_CFG + "s0 = 0.9\ni0 = 0.05\n", ()),
+    "no-capture": (
+        "integrate",
+        SLIDING_CFG + "s0 = 0.9\ni0 = 0.05\nt_max = 12\ncapture_spiral = false\n",
+        (),
+    ),
+    "sigmoid": (
+        "integrate",
+        "beta = 1\ngamma = 1\ndelta = 0.5\nkind = sigmoid\ni_star = 0.2\n"
+        "epsilon = 0.05\ns0 = 0.9\ni0 = 0.05\nfield_grid_n = 6\n",
+        ("--vector-field",),
+    ),
+    "step-basin": ("basin", SLIDING_CFG + "grid_n = 5\n", ()),
+    "tabulated-basin": (
+        "basin",
+        "beta = 1\ngamma = 1\ndelta = 0.5\nkind = tabulated\n"
+        "knots = 0,0.2,0.25,1\np_sp_values = 0,0,1,1\np_ps_values = 1,1,0,0\n"
+        "grid_n = 5\n",
+        (),
+    ),
+}
+INTEGRATOR_SHA256 = {
+    ("capture", "trajectory.csv"): (
+        "145fb7b12b0740fa01c017134a17b7b932e23dd53223345317c51fad4b351b77"
+    ),
+    ("capture", "events.csv"): (
+        "7dd8daf4a28946df142f81ca0e9a01c5c5814229464f5014fbc5650c48c9ab5e"
+    ),
+    ("no-capture", "trajectory.csv"): (
+        "3d61e4745cce131fd5ceb03754f6f991e521119818268d3f13b3378adabee4bb"
+    ),
+    ("no-capture", "events.csv"): (
+        "6357095ef7cf05f19b9cc1d6d76ed612b26e233d445da4145bc9e0cc3a8a5a68"
+    ),
+    ("sigmoid", "trajectory.csv"): (
+        "9f59ee6a620180c56320913c8caa4399801807f2e41f924c3787b2df593bdec2"
+    ),
+    ("sigmoid", "field.csv"): (
+        "dd87681c487dd39449598c490199adffe59c8f167ae9ffc7ad95d7b8c5cbcab6"
+    ),
+    ("step-basin", "basin.csv"): (
+        "84db3d4e309582b958d5e71ab0d08a0b8f5358e7dc26303bd6b13061a3607e7b"
+    ),
+    ("tabulated-basin", "basin.csv"): (
+        "4d170a52010b15ae15f7591e56f939535a66e35cffb457a24a733b4360526f9c"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRATOR_RUNS))
+def test_integrator_outputs_match_pinned_digests(tmp_path, case):
+    command, cfg, extra = INTEGRATOR_RUNS[case]
+    code, out = run(tmp_path, command, cfg, *extra)
+    assert code == 0
+    for (pinned_case, name), digest in INTEGRATOR_SHA256.items():
+        if pinned_case == case:
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_a_run_of_full_clock_blocks_keeps_its_stream(tmp_path):
     # 125,000 expected events: every block holds 65,536, as the jump
     # process drew them before its blocks were sized to the run

@@ -12,6 +12,8 @@ from epiresponse.equilibria import (
     g_function,
 )
 from epiresponse.integrator import (
+    CAPTURE_COUNT,
+    CAPTURE_RADIUS,
     DomainError,
     EventKind,
     IntegratorConfig,
@@ -360,6 +362,40 @@ def test_capture_terminates_exactly_at_sliding_point():
     assert kinds[-2:] == [EventKind.HIT_SLIDING, EventKind.REACHED_EQUILIBRIUM]
     assert traj.final_time < 30.0
     assert traj.equilibrium == find_equilibria(FIG, StepResponse(0.2))[-1]
+
+
+@pytest.mark.parametrize(
+    "i_star, x0",
+    [(0.2, State(0.9, 0.05)), (0.25, State(0.3, 0.6)), (0.15, State(0.6, 0.1))],
+)
+def test_capture_fires_at_the_first_crossing_that_meets_the_streak_rule(i_star, x0):
+    """An uncaptured run is the oracle: capture fires at its first crossing
+    whose last CAPTURE_COUNT radii are all below CAPTURE_RADIUS and each
+    smaller than the one before, and both runs agree bitwise until then."""
+    spec = StepResponse(i_star)
+    caught = integrate(FIG, spec, x0)
+    assert caught.equilibrium.kind is EquilibriumKind.SLIDING
+    cfg = IntegratorConfig(capture_spiral=False, t_max=caught.final_time + 0.5)
+    free = integrate(FIG, spec, x0, cfg)
+    assert free.reason is TerminationReason.T_MAX
+    s_slide = caught.equilibrium.point.s
+    cross_times = [t for t, _ in crossings(free)]
+    radii = [abs(state_at(free, t)[0] - s_slide) for t in cross_times]
+
+    def streak_ends_at(n):
+        recent = radii[n + 1 - CAPTURE_COUNT : n + 1]
+        return all(r < CAPTURE_RADIUS for r in recent) and all(
+            b < a for a, b in zip(recent, recent[1:])
+        )
+
+    fire = next(n for n in range(CAPTURE_COUNT - 1, len(radii)) if streak_ends_at(n))
+    t_fire = cross_times[fire]
+    assert (t_fire, EventKind.HIT_SLIDING) in caught.events
+    assert caught.final_time == t_fire
+    assert len(crossings(caught)) == fire + 1
+    m = int(np.searchsorted(free.times, t_fire))
+    assert np.array_equal(caught.times, free.times[: m + 1])
+    assert np.array_equal(caught.states[:m], free.states[:m])
 
 
 def test_capture_not_armed_without_stable_certificate():
