@@ -134,7 +134,7 @@ def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
         }
         _write_text(
             os.path.join(out_dir, f"{name}.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         )
         return
     lines = [",".join(header)]
@@ -150,18 +150,23 @@ def _axis(grid_n: int, key: str) -> list[float]:
 
 
 def _stability_entry(params, spec, eq):
+    """The stability report of ``eq``; a quantity that overflowed is refused
+    by the rate keys, since strict JSON has no inf or nan."""
     if eq.kind is EquilibriumKind.SLIDING:
         report = stability_sliding(params, spec.i_star)
-        return {
-            "verdict": report.verdict.value,
-            "a_plus": report.a_plus,
-            "a_minus": report.a_minus,
-        }
-    report = stability_smooth(params, spec, eq)
-    return {
-        "verdict": report.verdict.value,
-        "eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues],
-    }
+        entry = {"a_plus": report.a_plus, "a_minus": report.a_minus}
+    else:
+        report = stability_smooth(params, spec, eq)
+        entry = {"eigenvalues": [[ev.real, ev.imag] for ev in report.eigenvalues]}
+    for name, value in entry.items():
+        numbers = sum(value, []) if name == "eigenvalues" else [value]
+        if any(x is not None and not math.isfinite(x) for x in numbers):
+            raise ConfigError(
+                f"keys 'beta', 'gamma', 'delta': the {eq.kind.value} point's "
+                f"{name} = {value} is not finite"
+            )
+    entry["verdict"] = report.verdict.value
+    return entry
 
 
 def cmd_equilibria(values, args) -> int:
@@ -195,7 +200,7 @@ def cmd_equilibria(values, args) -> int:
         )
     _write_text(
         os.path.join(args.out, "equilibria.json"),
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
     )
     return 0
 

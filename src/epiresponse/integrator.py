@@ -3,22 +3,25 @@
 The field is smooth except, for step responses, on the line L = {i ==
 i_star}, where it switches between two polynomial branches.  Away from L a
 Dormand-Prince 5(4) pair with a quartic dense-output interpolant advances
-the state; crossings of L are located on the dense output by bisection and
-the integration restarts on the other side with the matching branch, so
-each crossing switches the regime exactly once.
+the state; a crossing of L is located on the dense output by bisection,
+becomes an accepted point, and the integration goes on with the other
+side's branch, so each crossing switches sides exactly once.  The solution
+is a scalar pair (s, i) on raw floats rather than arrays, which keeps the
+per-step cost low enough to follow the slow spiral into a sliding point.
 
-The solution is a scalar pair (s, i): the stepper below works on raw
-floats rather than arrays, which keeps the per-step cost low enough to
-push trajectories through the slow spiral towards a sliding equilibrium.
-
-Near an asymptotically stable sliding point the crossings accumulate: the
-inverse crossing radius grows by a fixed amount per revolution, so no
-finite-step method reaches the point itself in finite time.  When the
-closed-form stability certificate holds and the observed crossing radii
-are small and monotonically shrinking, the integrator terminates *at* the
-sliding point (see `IntegratorConfig.capture_spiral`); this truncation of
+Every accepted point, a step's end or a crossing, takes one tail and then
+`settle`, the one place a run ends before t_max: the spiral capture, then
+the rest test.  Near an asymptotically stable sliding point the crossings
+accumulate: the inverse crossing radius grows by a fixed amount per
+revolution, so no finite-step method reaches the point in finite time.
+When the closed-form stability certificate holds, capture keeps a streak
+over the crossing radii r = |s - s_slide|: r >= `CAPTURE_RADIUS` resets it
+to 0, a smaller r extends it when r is below the previous radius and
+restarts it at 1 otherwise.  At `CAPTURE_COUNT`, i.e. once the last
+`CAPTURE_COUNT` radii are all below `CAPTURE_RADIUS`, each smaller than
+the one before, the run ends *at* the sliding point.  This truncation of
 the infinite crossing sequence is the only deviation from plain numerical
-integration and can be disabled.
+integration; `IntegratorConfig.capture_spiral` disables it.
 """
 
 import dataclasses
@@ -157,10 +160,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _EVENT_PROBES = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
-_REGIME_ABOVE = "above"
-_REGIME_BELOW = "below"
-_REGIME_SMOOTH = "smooth"
-
 
 @dataclass
 class Trajectory:
@@ -227,23 +226,28 @@ class Trajectory:
         return out
 
 
-def _make_rhs(params: ModelParams, spec: ResponseSpec, regime: str):
-    # The one-sided step branches are written out: they are the hot path of
-    # Filippov integration and skip the response call.
+def _one_sided(params: ModelParams):
+    """A step response's field (above, below) L, written out: the hot path
+    of Filippov integration, it skips the response call."""
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    if regime == _REGIME_ABOVE:
 
-        def rhs(s, i):
-            return -beta * s * i - gamma * s, (beta * s - delta) * i
+    def above(s, i):
+        return -beta * s * i - gamma * s, (beta * s - delta) * i
 
-        return rhs
-    if regime == _REGIME_BELOW:
+    def below(s, i):
+        return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
 
-        def rhs(s, i):
-            return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
+    return above, below
 
-        return rhs
-    return compile_field(params, spec)
+
+def _quartic(f1, k3, k4, k5, k6, k7):
+    """Dense-output coefficients (q1, q2, q3, q4) of one component."""
+    return (
+        f1,
+        _P1_2 * f1 + _P3_2 * k3 + _P4_2 * k4 + _P5_2 * k5 + _P6_2 * k6 + _P7_2 * k7,
+        _P1_3 * f1 + _P3_3 * k3 + _P4_3 * k4 + _P5_3 * k5 + _P6_3 * k6 + _P7_3 * k7,
+        _P1_4 * f1 + _P3_4 * k3 + _P4_4 * k4 + _P5_4 * k5 + _P6_4 * k6 + _P7_4 * k7,
+    )
 
 
 def _rms(a: float, b: float) -> float:
@@ -301,22 +305,23 @@ def integrate(
     """Integrate from ``x0`` until equilibrium or ``cfg.t_max``.
 
     Step responses get crossing detection on L = {i == i_star}: CrossUp /
-    CrossDown events are bisected to ``event_tol`` and the regime switches
-    there.  A start exactly on L is resolved by the sign of di/dt =
+    CrossDown events are bisected to ``event_tol`` and the field switches
+    sides there.  A start exactly on L is resolved by the sign of di/dt =
     (beta*s - delta)*i: off the tangency point the trajectory immediately
     crosses; at s == delta/beta it either *is* the sliding equilibrium
     (when admissible) or continues with the below-threshold branch — the
     canonical selection (p_sp, p_ps) = (0, 1), one fixed choice among the
     admissible continuations, kept for reproducibility.
 
-    Termination with a ReachedEquilibrium event requires both proximity
-    (within ``equilibrium_eps``) to an admissible equilibrium and a field
-    norm below ``equilibrium_eps`` (segment distance on L); the trajectory
-    then carries the nearest such equilibrium (the first listed on a tie).
-    A state with i > 0 rests at a disease-free point only where the line
-    i = 0 attracts (beta*s <= delta).  At gamma == 0 every point of that
-    line is stationary, so a state on it, or near it where it attracts,
-    rests at a degenerate disease-free point.
+    `settle` ends the run (see the module docstring).  Its rest test, with a
+    ReachedEquilibrium event, requires both proximity (within
+    ``equilibrium_eps``) to an admissible equilibrium and a field norm below
+    ``equilibrium_eps`` (segment distance on L); the trajectory then carries
+    the nearest such equilibrium (the first listed on a tie).  A state with
+    i > 0 rests at a disease-free point only where the line i = 0 attracts
+    (beta*s <= delta).  At gamma == 0 every point of that line is
+    stationary, so a state on it, or near it where it attracts, rests at a
+    degenerate disease-free point.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -335,59 +340,44 @@ def integrate(
     if is_step and cfg.capture_spiral and sliding_eq is not None:
         report = stability_sliding(params, i_star)
         capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
+    # crossings in the current capture streak, and the last crossing radius
+    streak, last_r = 0, math.inf
 
     t = 0.0
     s, i = x0.s, x0.i
     events: list[tuple[float, EventKind]] = []
-    sample_t = [0.0]
-    sample_s = [s]
-    sample_i = [i]
+    sample_t, sample_s, sample_i = [0.0], [s], [i]
     store_samples = cfg.store_samples
     segments = [] if cfg.store_dense else None
-    radii: list[float] = []
 
     def build(eq=None):
         if eq is not None:
             events.append((t, EventKind.REACHED_EQUILIBRIUM))
-        if store_samples:
-            times = np.array(sample_t)
-            states = np.column_stack([sample_s, sample_i])
-        elif t > 0.0:
-            times = np.array([0.0, t])
-            states = np.array([[sample_s[0], sample_i[0]], [s, i]])
-        else:
-            times = np.array([0.0])
-            states = np.array([[sample_s[0], sample_i[0]]])
-        traj = Trajectory(times=times, states=states, events=events, equilibrium=eq)
+        if not store_samples and t > 0.0:
+            sample_t.append(t)
+            sample_s.append(s)
+            sample_i.append(i)
+        states = np.column_stack([sample_s, sample_i])
+        traj = Trajectory(np.array(sample_t), states, events, eq)
         if segments is not None:
             traj._segments = segments
             traj._seg_starts = np.array([seg[0] for seg in segments])
         return traj
 
-    # Resolve the starting regime.
-    if is_step:
-        if i == i_star:
-            s_slide = delta / beta
-            if s > s_slide:
-                regime = _REGIME_ABOVE
-                events.append((t, EventKind.CROSS_UP))
-            elif s < s_slide:
-                regime = _REGIME_BELOW
-                events.append((t, EventKind.CROSS_DOWN))
-            elif sliding_eq is not None:
+    def settle(crossed):
+        """The equilibrium the run ends at here, or None to go on."""
+        nonlocal s, i, streak, last_r
+        if crossed and capture_armed:
+            r = abs(s - sliding_eq.point.s)
+            streak = (streak + 1 if r < last_r else 1) if r < CAPTURE_RADIUS else 0
+            last_r = r
+            if streak >= CAPTURE_COUNT:
+                s, i = sliding_eq.point.s, sliding_eq.point.i
+                if store_samples:
+                    sample_s[-1] = s
+                    sample_i[-1] = i
                 events.append((t, EventKind.HIT_SLIDING))
-                return build(sliding_eq)
-            else:
-                regime = _REGIME_BELOW  # canonical selection at the tangency
-        else:
-            regime = _REGIME_ABOVE if i > i_star else _REGIME_BELOW
-    else:
-        regime = _REGIME_SMOOTH
-
-    rhs = _make_rhs(params, spec, regime)
-    fs, fi = rhs(s, i)
-
-    def resting_at():
+                return sliding_eq
         # the line i = 0 holds a run only where it attracts (beta*s <= delta,
         # since di/dt = (beta*s - delta)*i there) or exactly on it
         line_holds = i == 0.0 or beta * s <= delta
@@ -405,7 +395,27 @@ def integrate(
             return None
         return near
 
-    if (eq := resting_at()) is not None:
+    # The field on the starting side; `up` is the side of L for a step.
+    if is_step:
+        above, below = _one_sided(params)
+        up = i > i_star
+        if i == i_star:
+            s_slide = delta / beta
+            up = s > s_slide
+            if up:
+                events.append((t, EventKind.CROSS_UP))
+            elif s < s_slide:
+                events.append((t, EventKind.CROSS_DOWN))
+            elif sliding_eq is not None:
+                events.append((t, EventKind.HIT_SLIDING))
+                return build(sliding_eq)
+            # else: the tangency, canonical selection below
+        rhs = above if up else below
+    else:
+        rhs = compile_field(params, spec)
+    fs, fi = rhs(s, i)
+
+    if (eq := settle(False)) is not None:
         return build(eq)
 
     # At least the smallest double: a step of 0 never advances t.
@@ -462,104 +472,58 @@ def integrate(
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        qi = qs = None
-        if is_step or store_dense:
-            qi = (
-                fi,
-                _P1_2 * fi + _P3_2 * k3i + _P4_2 * k4i + _P5_2 * k5i
-                + _P6_2 * k6i + _P7_2 * k7i,
-                _P1_3 * fi + _P3_3 * k3i + _P4_3 * k4i + _P5_3 * k5i
-                + _P6_3 * k6i + _P7_3 * k7i,
-                _P1_4 * fi + _P3_4 * k3i + _P4_4 * k4i + _P5_4 * k5i
-                + _P6_4 * k6i + _P7_4 * k7i,
-            )
-
-        crossed = None
+        # Probe the dense output of i for a crossing of L.
+        qi = _quartic(fi, k3i, k4i, k5i, k6i, k7i) if is_step or store_dense else None
+        crossed = False
         if is_step:
-            want_positive = regime == _REGIME_BELOW
             qi1, qi2, qi3, qi4 = qi
-            u_prev = 0.0
-            for u in _EVENT_PROBES:
-                g = i + h * u * (qi1 + u * (qi2 + u * (qi3 + u * qi4))) - i_star
-                if (g > 0.0) if want_positive else (g < 0.0):
-                    crossed = (u_prev, u)
+            ua = 0.0
+            for ub in _EVENT_PROBES:
+                g = i + h * ub * (qi1 + ub * (qi2 + ub * (qi3 + ub * qi4))) - i_star
+                if (g < 0.0) if up else (g > 0.0):
+                    crossed = True
                     break
-                u_prev = u
+                ua = ub
+        qs = _quartic(fs, k3s, k4s, k5s, k6s, k7s) if store_dense or crossed else None
 
-        if qs is None and (store_dense or crossed is not None):
-            qs = (
-                fs,
-                _P1_2 * fs + _P3_2 * k3s + _P4_2 * k4s + _P5_2 * k5s
-                + _P6_2 * k6s + _P7_2 * k7s,
-                _P1_3 * fs + _P3_3 * k3s + _P4_3 * k4s + _P5_3 * k5s
-                + _P6_3 * k6s + _P7_3 * k7s,
-                _P1_4 * fs + _P3_4 * k3s + _P4_4 * k4s + _P5_4 * k5s
-                + _P6_4 * k6s + _P7_4 * k7s,
-            )
-
-        if crossed is not None:
-            ua, ub = crossed
+        if crossed:
+            # Bisect (ua, ub] on the dense output: the accepted point is the
+            # crossing, on L exactly, and the field switches sides there.
             while (ub - ua) * h > event_tol:
                 um = 0.5 * (ua + ub)
                 if not ua < um < ub:
                     break  # adjacent doubles: event_tol is below round-off
                 g = i + h * um * (qi1 + um * (qi2 + um * (qi3 + um * qi4))) - i_star
-                if (g > 0.0) if want_positive else (g < 0.0):
+                if (g < 0.0) if up else (g > 0.0):
                     ub = um
                 else:
                     ua = um
-            ue = ub
-            te = t + ue * h
-            se = s + h * ue * (qs[0] + ue * (qs[1] + ue * (qs[2] + ue * qs[3])))
-            se, _ = _clip_to_domain(te, se, i_star)
-            if segments is not None:
-                segments.append((t, te, h, s, i, qs, qi))
-            kind = EventKind.CROSS_UP if want_positive else EventKind.CROSS_DOWN
-            events.append((te, kind))
-            t, s, i = te, se, i_star
-            if store_samples:
-                sample_t.append(t)
-                sample_s.append(s)
-                sample_i.append(i)
+            te = t + ub * h
+            s1 = s + h * ub * (qs[0] + ub * (qs[1] + ub * (qs[2] + ub * qs[3])))
+            i1 = i_star
+            events.append((te, EventKind.CROSS_DOWN if up else EventKind.CROSS_UP))
+            up = not up
+            rhs = above if up else below
+        else:
+            te = t + h
 
-            # Certified sliding-point endgame.
-            if capture_armed:
-                radii.append(abs(s - sliding_eq.point.s))
-                if len(radii) >= CAPTURE_COUNT:
-                    recent = radii[-CAPTURE_COUNT:]
-                    if all(r < CAPTURE_RADIUS for r in recent) and all(
-                        b < a for a, b in zip(recent, recent[1:])
-                    ):
-                        s, i = sliding_eq.point.s, sliding_eq.point.i
-                        if store_samples:
-                            sample_s[-1] = s
-                            sample_i[-1] = i
-                        events.append((t, EventKind.HIT_SLIDING))
-                        return build(sliding_eq)
-
-            regime = _REGIME_ABOVE if want_positive else _REGIME_BELOW
-            rhs = _make_rhs(params, spec, regime)
-            fs, fi = rhs(s, i)
-            if (eq := resting_at()) is not None:
-                return build(eq)
-            continue  # reuse the current h; the controller re-adapts
-
-        # Plain accepted step.
-        te = t + h
+        # The one tail of every accepted point.
         s1c, i1c = _clip_to_domain(te, s1, i1)
         if segments is not None:
             segments.append((t, te, h, s, i, qs, qi))
-        if s1c != s1 or i1c != i1:
-            fs, fi = rhs(s1c, i1c)
-        else:
-            fs, fi = k7s, k7i
         t, s, i = te, s1c, i1c
         if store_samples:
             sample_t.append(t)
             sample_s.append(s)
             sample_i.append(i)
-        if (eq := resting_at()) is not None:
+        if crossed or s1c != s1 or i1c != i1:
+            fs, fi = rhs(s, i)
+        else:
+            fs, fi = k7s, k7i
+        if (eq := settle(crossed)) is not None:
             return build(eq)
+        if crossed:
+            continue  # reuse the current h; the controller re-adapts
         if err == 0.0:
             h *= _MAX_FACTOR
         else:

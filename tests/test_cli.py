@@ -84,6 +84,29 @@ def test_equilibria_gamma_zero_step_is_degenerate(tmp_path, capsys):
         assert capsys.readouterr().out.startswith("disease_free: (1, 0) ")
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            "beta = 1.7e308\ngamma = 1.7e308\ndelta = 1\nkind = step\ni_star = 0.5\n",
+            "the sliding point's a_plus = -inf is not finite",
+        ),
+        (
+            "beta = 1e308\ngamma = 1e308\ndelta = 1e-300\n"
+            "kind = sigmoid\ni_star = 0.5\nepsilon = 0.1\n",
+            "the endemic point's eigenvalues = [[-inf, 0.0], [-1e-300, 0.0]] is not finite",
+        ),
+    ],
+)
+def test_non_finite_stability_is_refused_by_the_rate_keys(tmp_path, capsys, cfg, message):
+    # strict JSON has no inf or nan: an overflowing quantity writes no report
+    code, out = run(tmp_path, "equilibria", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: keys 'beta', 'gamma', 'delta': {message}\n"
+    assert not (out / "equilibria.json").exists()
+
+
 def test_missing_required_key_names_it(tmp_path, capsys):
     cfg = "gamma = 1\ndelta = 0.5\nkind = step\ni_star = 0.2\n"
     code, _ = run(tmp_path, "equilibria", cfg)
@@ -722,18 +745,26 @@ def _config(draw, command):
 @given(data=st.data(), command=st.sampled_from(sorted(CONFIGS)))
 def test_every_schema_valid_config_exits_0_2_or_3(tmp_path_factory, data, command):
     """Every config the schema parses ends in exit 0, 2 or 3, never in an
-    exception.  Values are any finite floats; only the work is bounded:
-    n <= 200, t_max <= 5 and t_max * (|beta| + |gamma| + |delta|) <= 15, at most
-    501 grid points, grid_n and field_grid_n <= 6, runs and runs_per_n <= 3,
-    gamma_count <= 6, and trace replays the fixture with
-    (gamma + delta) * 2410 s <= 15."""
+    exception, and every JSON file it writes is strict JSON.  Values are
+    any finite floats; only the work is bounded: n <= 200, t_max <= 5 and
+    t_max * (|beta| + |gamma| + |delta|) <= 15, at most 501 grid points,
+    grid_n and field_grid_n <= 6, runs and runs_per_n <= 3, gamma_count <= 6,
+    and trace replays the fixture with (gamma + delta) * 2410 s <= 15."""
     cfg = _config(data.draw, command)
     text = "".join(f"{key} = {format_value(value)}\n" for key, value in cfg.items())
     extra = []
     if command == "integrate" and data.draw(st.booleans()):
         extra.append("--vector-field")
+    if command != "equilibria" and data.draw(st.booleans()):
+        extra.extend(("--format", "json"))
     if command == "trace":
         extra.append(str(FIXTURE))
     tmp = tmp_path_factory.mktemp(command)
-    code, _ = run(tmp, command, text, *extra)
+    code, out = run(tmp, command, text, *extra)
     assert code in (0, 2, 3)
+    for path in out.glob("*.json"):  # strict JSON: no Infinity or NaN
+        json.loads(path.read_text(), parse_constant=_not_json)
+
+
+def _not_json(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
