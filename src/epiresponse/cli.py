@@ -39,6 +39,7 @@ from .equilibria import (
     HypothesisViolated,
     NoDecisionPressure,
     NoRootError,
+    equilibrium_infection_vs_gamma,
     find_equilibria,
     stability_sliding,
     stability_smooth,
@@ -47,6 +48,7 @@ from .integrator import (
     DomainError,
     IntegratorConfig,
     LeftDomainError,
+    StepBudgetError,
     StepUnderflowError,
     classify_basin,
     integrate,
@@ -58,6 +60,7 @@ from .model import (
     State,
     compile_field,
 )
+from .sampling import MAX_GRID_POINTS
 from .traces import (
     EmptyTraceError,
     ParseError,
@@ -142,10 +145,22 @@ def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
     _write_text(os.path.join(out_dir, f"{name}.csv"), "\n".join(lines) + "\n")
 
 
-def _axis(grid_n: int, key: str) -> list[float]:
-    """``grid_n`` evenly spaced points on [0, 1]."""
-    if grid_n < 2:
+def _grid_count(key: str, count: int, points: int) -> None:
+    """Refuse by ``key`` a count below 2, or one whose grid holds more than
+    `MAX_GRID_POINTS` points."""
+    if count < 2:
         raise ConfigError(f"key '{key}': must be at least 2")
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"key '{key}': {count} makes a grid of {points:.3g} points, more "
+            f"than the cap of {MAX_GRID_POINTS:.0e}"
+        )
+
+
+def _axis(grid_n: int, key: str) -> list[float]:
+    """``grid_n`` evenly spaced points on [0, 1]; the grid built on it is the
+    triangle s + i <= 1, about grid_n**2 / 2 points."""
+    _grid_count(key, grid_n, grid_n * (grid_n + 1) // 2)
     return np.linspace(0.0, 1.0, grid_n).tolist()
 
 
@@ -209,13 +224,14 @@ def cmd_integrate(values, args) -> int:
     params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
     x0 = _start(values)
+    if args.vector_field:
+        axis = _axis(values["field_grid_n"], "field_grid_n")
     traj = integrate(params, spec, x0, IntegratorConfig(**_pick(values, _TOL)))
     rows = [(t, s, i, 1.0 - s - i) for t, (s, i) in zip(traj.times, traj.states)]
     _write_table(args.out, "trajectory", ("t", "s", "i", "p"), rows, args.format)
     event_rows = [(t, kind.value) for t, kind in traj.events]
     _write_table(args.out, "events", ("t", "event"), event_rows, args.format)
     if args.vector_field:
-        axis = _axis(values["field_grid_n"], "field_grid_n")
         rhs = compile_field(params, spec)
         field_rows = [
             (s, i, *rhs(s, i)) for s in axis for i in axis if s + i <= 1.0 + 1e-12
@@ -243,25 +259,22 @@ def cmd_basin(values, args) -> int:
 
 
 def cmd_sweep_gamma(values, args) -> int:
-    if values["gamma_count"] < 2:
-        raise ConfigError("key 'gamma_count': must be at least 2")
+    count = values["gamma_count"]
+    _grid_count("gamma_count", count, count)
     lo, hi = values["gamma_min"], values["gamma_max"]
     if not (0.0 < lo < hi):
         raise ConfigError("key 'gamma_min': need 0 < gamma_min < gamma_max")
     if values["log_spacing"]:
         with np.errstate(over="ignore"):
-            grid = np.logspace(math.log10(lo), math.log10(hi), values["gamma_count"])
+            grid = np.logspace(math.log10(lo), math.log10(hi), count)
         if not np.isfinite(grid).all():
             raise ConfigError(f"key 'gamma_max': {hi!r} overflows to inf on a log grid")
     else:
-        grid = np.linspace(lo, hi, values["gamma_count"])
-    spec = build_response(values)
-    rows = []
-    for gamma in grid.tolist():
-        params = ModelParams(values["beta"], gamma, values["delta"])
-        # X0 comes first; an endemic or sliding point, when present, last.
-        eq = find_equilibria(params, spec)[-1]
-        rows.append((gamma, eq.point.i, eq.kind.value))
+        grid = np.linspace(lo, hi, count)
+    sweep = equilibrium_infection_vs_gamma(
+        values["beta"], values["delta"], build_response(values), grid.tolist()
+    )
+    rows = [(row.gamma, row.i_eq, row.kind.value) for row in sweep]
     _write_table(args.out, "sweep", ("gamma", "i_eq", "kind"), rows, args.format)
     return 0
 
@@ -401,9 +414,7 @@ _COMMANDS = {
         {
             "beta": Field("rate", required=True),
             "delta": Field("rate", required=True),
-            "kind": Field("choice", default="step", choices=("step", "sigmoid")),
-            "i_star": Field("float", required=True),
-            "epsilon": Field("float"),
+            **_RESPONSE,
             "gamma_min": Field("rate", required=True),
             "gamma_max": Field("rate", required=True),
             "gamma_count": Field("int", default=50),
@@ -454,6 +465,7 @@ _RUNTIME_ERRORS = (
     NoRootError,
     NoDecisionPressure,
     HypothesisViolated,
+    StepBudgetError,
     StepUnderflowError,
     LeftDomainError,
     DomainError,

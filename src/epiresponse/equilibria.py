@@ -18,6 +18,7 @@ discontinuity line with alternating orientation.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -418,30 +419,23 @@ def stability_sliding(params: ModelParams, i_star: float) -> StabilityReport:
 def equilibrium_infection_vs_gamma(
     beta: float,
     delta: float,
-    i_star: float,
+    response: ResponseSpec | float,
     gamma_grid: Sequence[float],
 ) -> list[SweepRow]:
-    """Long-run infected fraction against the decision-update rate.
+    """Long-run infected fraction per gamma: the point `find_equilibria`
+    lists last, for any `ResponseSpec` (a number means ``StepResponse``).
 
-        I_eq(gamma) = min{ (1 - delta/beta)/(1 + delta/gamma), i_star }
-
-    for delta < beta and gamma > 0 (zero otherwise): the endemic level
-    rises with gamma until it saturates at the threshold, after which the
-    sliding point pins the infection at i_star.  At gamma == 0 or delta ==
-    beta up to round-off the row is disease-free, as `find_equilibria_step` has it.
+    It rises with gamma: at the endemic point delta*i = gamma*k(i), with
+    k(i) = (1 - delta/beta - i)*p_ps(i) - (delta/beta)*p_sp(i) and k' <= 0
+    for every (monotone) response, so di/dgamma = k/(delta - gamma*k') > 0.
+    For a step response this is min{(1 - delta/beta)/(1 + delta/gamma),
+    i_star} when delta < beta and gamma > 0, and 0 otherwise.
     """
-    if not (0.0 < i_star <= 1.0):
-        raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
+    if isinstance(response, numbers.Real):
+        response = StepResponse(response)
     rows = []
     for gamma in gamma_grid:
-        if gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {gamma}")
-        if delta >= beta or gamma == 0.0 or _folds_into_x0(1.0, delta / beta):
-            rows.append(SweepRow(gamma, 0.0, EquilibriumKind.DISEASE_FREE))
-            continue
-        uncapped = _endemic_i_step(beta, gamma, delta)
-        if i_star <= uncapped:
-            rows.append(SweepRow(gamma, i_star, EquilibriumKind.SLIDING))
-        else:
-            rows.append(SweepRow(gamma, uncapped, EquilibriumKind.ENDEMIC))
+        # X0 comes first; an endemic or sliding point, when present, last.
+        eq = find_equilibria(ModelParams(beta, gamma, delta), response)[-1]
+        rows.append(SweepRow(gamma, eq.point.i, eq.kind))
     return rows

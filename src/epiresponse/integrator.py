@@ -35,6 +35,7 @@ from .equilibria import (
     Equilibrium,
     EquilibriumKind,
     Verdict,
+    _endemic_i_step,
     find_equilibria,
     stability_sliding,
 )
@@ -44,6 +45,7 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
+    _one_sided,
     compile_field,
     compile_response,
     eval_response_selected,  # noqa: F401 -- bench/tracing.py wraps this name here
@@ -56,6 +58,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "StepUnderflowError",
+    "StepBudgetError",
     "LeftDomainError",
     "DomainError",
     "integrate",
@@ -83,6 +86,21 @@ class StepUnderflowError(RuntimeError):
 
     def __init__(self, t: float, state: State):
         super().__init__(f"step size underflow at t={t} near state {state}")
+        self.t = t
+        self.state = state
+
+
+class StepBudgetError(RuntimeError):
+    """`MAX_STEPS` DP5 attempts spent before t_max; carries the last state."""
+
+    def __init__(self, t: float, state: State, crossings: int):
+        super().__init__(
+            f"step budget of {MAX_STEPS} DP5 attempts spent at t={t} near state "
+            f"{state}, after {crossings} crossings of the switching line: "
+            "crossings that accumulate in finite time (a Zeno spiral into a "
+            "sliding point) never reach t_max; set capture_spiral = true or "
+            "lower t_max"
+        )
         self.t = t
         self.state = state
 
@@ -123,6 +141,11 @@ class IntegratorConfig:
 # radii are all below `CAPTURE_RADIUS` and strictly shrinking.
 CAPTURE_RADIUS = 3e-3
 CAPTURE_COUNT = 6
+
+# DP5 attempts, accepted and rejected, that one run may make: 27 s on a
+# spiral that crosses L at nearly every step (Python 3.11, one x86 core).
+# With capture off, the spiral into a sliding point crosses L without end.
+MAX_STEPS = 10**6
 
 
 # Dormand-Prince 5(4) tableau.
@@ -226,20 +249,6 @@ class Trajectory:
         return out
 
 
-def _one_sided(params: ModelParams):
-    """A step response's field (above, below) L, written out: the hot path
-    of Filippov integration, it skips the response call."""
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-
-    def above(s, i):
-        return -beta * s * i - gamma * s, (beta * s - delta) * i
-
-    def below(s, i):
-        return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
-
-    return above, below
-
-
 def _quartic(f1, k3, k4, k5, k6, k7):
     """Dense-output coefficients (q1, q2, q3, q4) of one component."""
     return (
@@ -321,7 +330,8 @@ def integrate(
     i > 0 rests at a disease-free point only where the line i = 0 attracts
     (beta*s <= delta).  At gamma == 0 every point of that line is
     stationary, so a state on it, or near it where it attracts, rests at a
-    degenerate disease-free point.
+    degenerate disease-free point.  A run still short of t_max after
+    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -427,11 +437,16 @@ def integrate(
     t_max = cfg.t_max
     event_tol = cfg.event_tol
     store_dense = cfg.store_dense
+    attempts = 0
 
     while t < t_max:
         remaining = t_max - t
         if remaining < min_step:
             break  # within round-off of the horizon
+        if attempts == MAX_STEPS:
+            # only crossings are logged before the run ends
+            raise StepBudgetError(t, State(s, i), len(events))
+        attempts += 1
         h = min(h, remaining)
         if h < min_step:
             raise StepUnderflowError(t, State(s, i))
@@ -551,9 +566,9 @@ def monotone_M(params: ModelParams, x: State) -> float:
 
         M(s, i) = s - (delta/beta + gamma/beta)*ln(s + gamma/beta)
                   + i - I1*ln(i),
-        I1 = gamma*(beta - delta)/(beta*(gamma + delta)).
 
-    Non-increasing along below-threshold trajectories:
+    with I1 = gamma*(1 - delta/beta)/(gamma + delta) the step response's
+    endemic level, is non-increasing along below-threshold trajectories:
 
         dM/dt = -(beta*s - delta)^2/(beta*s + gamma)
                 * (1 + gamma/beta)/(1 + delta/gamma) <= 0,
@@ -563,7 +578,7 @@ def monotone_M(params: ModelParams, x: State) -> float:
     if x.s <= 0.0 or x.i <= 0.0:
         raise DomainError(f"monotone_M needs s, i > 0, got ({x.s}, {x.i})")
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    i1 = gamma * (beta - delta) / (beta * (gamma + delta))
+    i1 = _endemic_i_step(beta, gamma, delta)
     return (
         x.s
         - (delta / beta + gamma / beta) * math.log(x.s + gamma / beta)

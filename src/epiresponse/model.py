@@ -323,6 +323,20 @@ def compile_field(
     return rhs
 
 
+def _one_sided(params: ModelParams):
+    """A step response's field (above, below) L, written out: the hot path
+    of Filippov integration, it skips the response call."""
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+
+    def above(s, i):
+        return -beta * s * i - gamma * s, (beta * s - delta) * i
+
+    def below(s, i):
+        return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
+
+    return above, below
+
+
 def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
     """Derivatives (dp_sp/di, dp_ps/di) with the right-slope convention at kinks.
 
@@ -355,20 +369,14 @@ def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:
     """Right-hand side (dS/dt, dI/dt) at ``x``; set-valued on a step threshold.
 
     On L = {i == i_star} of a `StepResponse` the returned segment spans the
-    two one-sided limits of the S-rate,
-
-        ds_lo = -beta*s*i - gamma*s              (limit from above)
-        ds_hi = -beta*s*i + gamma*(1 - s - i)    (limit from below)
-
+    two one-sided limits of the S-rate, ds_lo from above L (everyone
+    protects) and ds_hi from below it (nobody does), both from `_one_sided`,
     while di = (beta*s - delta)*i is continuous across L.  Everywhere else
     the value is that of `compile_field`.
     """
     s, i = x.s, x.i
     if isinstance(spec, StepResponse) and i == spec.i_star:
-        beta, gamma, delta = params.beta, params.gamma, params.delta
-        return FieldSegment(
-            ds_lo=-beta * s * i - gamma * s,
-            ds_hi=-beta * s * i + gamma * (1.0 - s - i),
-            di=beta * s * i - delta * i,
-        )
+        above, below = _one_sided(params)
+        ds_hi, di = below(s, i)
+        return FieldSegment(ds_lo=above(s, i)[0], ds_hi=ds_hi, di=di)
     return FieldPoint(*compile_field(params, spec)(s, i))

@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epiresponse import integrator
 from epiresponse.cli import main
 from epiresponse.config import format_value
-from epiresponse.equilibria import equilibrium_infection_vs_gamma
-from epiresponse.model import SigmoidResponse, StepResponse, eval_response_selected
+from epiresponse.equilibria import equilibrium_infection_vs_gamma, find_equilibria
+from epiresponse.model import (
+    ConstantResponse,
+    ModelParams,
+    SigmoidResponse,
+    StepResponse,
+    TabulatedResponse,
+    eval_response_selected,
+)
+from epiresponse.sampling import MAX_GRID_POINTS
 from test_acceptance import CONFIGS
 
 FIXTURE = Path(__file__).parent / "data" / "five_node.csv"
@@ -333,6 +342,39 @@ def test_sweep_gamma_sigmoid_levels_increase(tmp_path):
     assert levels[-1] < 0.3 + 0.05  # capped around the threshold band
 
 
+SWEEP_RESPONSES = {
+    "tabulated": (
+        "kind = tabulated\nknots = 0,0.2,0.25,1\n"
+        "p_sp_values = 0,0,1,1\np_ps_values = 1,1,0,0\n",
+        TabulatedResponse((0.0, 0.2, 0.25, 1.0), (0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0)),
+    ),
+    "constant": ("kind = constant\np_sp = 0.2\np_ps = 0.6\n", ConstantResponse(0.2, 0.6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_RESPONSES))
+def test_sweep_gamma_rows_are_find_equilibria_for_every_response(tmp_path, kind):
+    response, spec = SWEEP_RESPONSES[kind]
+    cfg = f"beta = 1\ndelta = 0.5\n{response}gamma_min = 0.01\ngamma_max = 100\ngamma_count = 12\n"
+    code, out = run(tmp_path, "sweep-gamma", cfg)
+    assert code == 0
+    want = []
+    for gamma in np.logspace(-2.0, 2.0, 12).tolist():
+        last = find_equilibria(ModelParams(1.0, gamma, 0.5), spec)[-1]
+        want.append([format_value(gamma), format_value(last.point.i), last.kind.value])
+    _, rows = read_csv(out / "sweep.csv")
+    assert rows == want
+    assert {row[2] for row in rows} == {"endemic"}
+
+
+def test_sweep_gamma_without_kind_exits_2(tmp_path, capsys):
+    cfg = "beta = 1\ndelta = 0.5\ni_star = 0.3\ngamma_min = 0.1\ngamma_max = 10\n"
+    code, out = run(tmp_path, "sweep-gamma", cfg)
+    assert code == 2
+    assert "missing required key 'kind'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_gamma_log_grid_overflow_names_gamma_max(tmp_path, capsys):
     cfg = (
         "beta = 1\ndelta = 0.5\nkind = step\ni_star = 0.3\n"
@@ -492,6 +534,50 @@ def test_work_past_a_budget_exits_2_at_once(tmp_path, capsys, case):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert word in capsys.readouterr().err
+
+
+# A grid count past sampling.MAX_GRID_POINTS points: gamma_count is its
+# grid, grid_n and field_grid_n make a triangle of grid_n * (grid_n + 1) / 2.
+GRID_COUNTS = [
+    ("sweep-gamma", "gamma_count", MAX_GRID_POINTS + 1, ()),
+    ("sweep-gamma", "gamma_count", 10**13, ()),
+    ("basin", "grid_n", 1414, ()),
+    ("basin", "grid_n", 10**13, ()),
+    ("integrate", "field_grid_n", 1414, ("--vector-field",)),
+    ("integrate", "field_grid_n", 10**13, ("--vector-field",)),
+]
+
+
+@pytest.mark.parametrize("command, key, count, extra", GRID_COUNTS)
+def test_oversized_grid_count_exits_2_before_any_output(
+    tmp_path, capsys, command, key, count, extra
+):
+    cfg = "".join(
+        line + "\n" for line in CONFIGS[command].splitlines() if not line.startswith(key)
+    )
+    start = time.perf_counter()
+    code, out = run(tmp_path, command, cfg + f"{key} = {count}\n", *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"key '{key}': {count} makes a grid of" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_step_budget_exits_3_before_any_output(tmp_path, capsys, monkeypatch):
+    # a Zeno spiral without capture at the default t_max = 1e4
+    monkeypatch.setattr(integrator, "MAX_STEPS", 2000)
+    cfg = (
+        "beta = 1\ngamma = 3\ndelta = 0.2\nkind = step\ni_star = 0.1\n"
+        "s0 = 0.6\ni0 = 0.1\ncapture_spiral = false\n"
+    )
+    start = time.perf_counter()
+    code, out = run(tmp_path, "integrate", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step budget of 2000 DP5 attempts")
+    assert "Zeno" in err and "capture_spiral" in err
+    assert not any(out.iterdir())
 
 
 OFF_SIMPLEX = {
@@ -686,12 +772,19 @@ def _optional(draw, cfg, key, strategy):
         cfg[key] = draw(strategy)
 
 
+def _count(most):
+    """A grid count in [-1, most], or, one draw in eight, one whose grid
+    holds more than MAX_GRID_POINTS points."""
+    past = st.integers(MAX_GRID_POINTS + 1, 10**13)
+    return st.integers(0, 7).flatmap(lambda k: past if k == 0 else st.integers(-1, most))
+
+
 def _config(draw, command):
     if command == "sweep-gamma":
         cfg = {"beta": draw(NUMBER), "delta": draw(NUMBER)}
-        cfg.update(_response(draw, kinds=("step", "sigmoid")))
+        cfg.update(_response(draw))
         cfg["gamma_min"], cfg["gamma_max"] = sorted((draw(NUMBER), draw(NUMBER)))
-        _optional(draw, cfg, "gamma_count", st.integers(-1, 6))
+        _optional(draw, cfg, "gamma_count", _count(6))
         _optional(draw, cfg, "log_spacing", st.booleans())
         return cfg
     if command == "trace":
@@ -723,7 +816,7 @@ def _config(draw, command):
             _optional(draw, cfg, key, NUMBER)
         cfg["capture_spiral"] = draw(st.booleans())
         if command == "basin":
-            cfg["grid_n"] = draw(st.integers(0, 6))
+            cfg["grid_n"] = draw(_count(6))
             return cfg
         cfg["s0"], cfg["i0"] = draw(NUMBER), draw(NUMBER)
         _optional(draw, cfg, "field_grid_n", st.integers(0, 6))
@@ -749,7 +842,8 @@ def test_every_schema_valid_config_exits_0_2_or_3(tmp_path_factory, data, comman
     any finite floats; only the work is bounded: n <= 200, t_max <= 5 and
     t_max * (|beta| + |gamma| + |delta|) <= 15, at most 501 grid points,
     grid_n and field_grid_n <= 6, runs and runs_per_n <= 3, gamma_count <= 6,
-    and trace replays the fixture with (gamma + delta) * 2410 s <= 15."""
+    and trace replays the fixture with (gamma + delta) * 2410 s <= 15.  A
+    gamma_count or grid_n past the grid cap must exit 2."""
     cfg = _config(data.draw, command)
     text = "".join(f"{key} = {format_value(value)}\n" for key, value in cfg.items())
     extra = []
@@ -761,7 +855,8 @@ def test_every_schema_valid_config_exits_0_2_or_3(tmp_path_factory, data, comman
         extra.append(str(FIXTURE))
     tmp = tmp_path_factory.mktemp(command)
     code, out = run(tmp, command, text, *extra)
-    assert code in (0, 2, 3)
+    oversized = max(cfg.get("gamma_count", 0), cfg.get("grid_n", 0)) > MAX_GRID_POINTS
+    assert code == 2 if oversized else code in (0, 2, 3)
     for path in out.glob("*.json"):  # strict JSON: no Infinity or NaN
         json.loads(path.read_text(), parse_constant=_not_json)
 

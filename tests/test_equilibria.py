@@ -1,10 +1,12 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from epiresponse.equilibria import (
+    BISECT_TOL,
     BOUNDARY_EPS,
     Equilibrium,
     EquilibriumKind,
@@ -30,8 +32,10 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    compile_response,
     eval_response_selected,
     field,
+    response_slopes,
 )
 
 rates = st.floats(0.05, 8.0)
@@ -437,9 +441,9 @@ def test_sweep_at_gamma_zero_is_disease_free_like_find_equilibria_step():
     last = find_equilibria_step(ModelParams(beta=1.0, gamma=0.0, delta=0.5), 0.3)[-1]
     assert row.kind is last.kind is EquilibriumKind.DISEASE_FREE
     assert row.i_eq == last.point.i == 0.0
-    # gamma = delta = 0 makes the closed form 0 / 0
-    (row,) = equilibrium_infection_vs_gamma(1.0, 0.0, 0.3, [0.0])
-    assert (row.i_eq, row.kind) == (0.0, EquilibriumKind.DISEASE_FREE)
+    # delta = 0 is refused, as `ModelParams` refuses it everywhere
+    with pytest.raises(ValueError):
+        equilibrium_infection_vs_gamma(1.0, 0.0, 0.3, [0.0])
 
 
 def test_sweep_validates_inputs():
@@ -447,3 +451,82 @@ def test_sweep_validates_inputs():
         equilibrium_infection_vs_gamma(1.0, 0.5, 0.0, [1.0])
     with pytest.raises(ValueError):
         equilibrium_infection_vs_gamma(1.0, 0.5, 0.3, [-1.0])
+
+
+def test_sweep_accepts_any_response_spec():
+    spec = SigmoidResponse(0.3, 0.05)
+    grid = [0.0, 0.1, 1.0, 10.0]
+    rows = equilibrium_infection_vs_gamma(1.0, 0.5, spec, grid)
+    for row, gamma in zip(rows, grid):
+        last = find_equilibria(ModelParams(1.0, gamma, 0.5), spec)[-1]
+        assert (row.gamma, row.i_eq, row.kind) == (gamma, last.point.i, last.kind)
+
+
+@st.composite
+def monotone_responses(draw):
+    """A step, sigmoid or tabulated response with decision pressure at i = 0."""
+    kind = draw(st.sampled_from(("step", "sigmoid", "tabulated")))
+    if kind == "step":
+        return StepResponse(draw(st.floats(0.01, 1.0)))
+    if kind == "sigmoid":
+        return SigmoidResponse(draw(st.floats(0.01, 1.0)), draw(st.floats(1e-3, 1.0)))
+    knots = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True))
+    column = st.lists(st.floats(0.0, 1.0), min_size=len(knots), max_size=len(knots))
+    p_sp, p_ps = sorted(draw(column)), sorted(draw(column), reverse=True)
+    assume(p_sp[0] + p_ps[0] > 0.0)
+    return TabulatedResponse(tuple(sorted(knots)), tuple(p_sp), tuple(p_ps))
+
+
+def _piece(spec, i):
+    """The index of the linear piece of ``spec`` that holds ``i``."""
+    if isinstance(spec, SigmoidResponse):
+        half = 0.5 * spec.epsilon
+        return bisect_right((spec.i_star - half, spec.i_star + half), i)
+    return bisect_right(spec.knots, i)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    beta=rates,
+    delta_frac=st.floats(0.02, 1.2),
+    spec=monotone_responses(),
+    exponents=st.lists(st.integers(-8, 8), min_size=2, max_size=9, unique=True),
+)
+def test_sweep_rises_with_gamma_at_the_closed_form_rate(beta, delta_frac, spec, exponents):
+    """The paper's main finding for every admissible response: the level
+    does not fall as gamma grows on a log grid in [1e-2, 1e2], a step level
+    stays at most i_star, and on the endemic branch, wherever the stencil
+    gamma +- h keeps the root on one linear piece of the response (so on
+    the same `response_slopes`), a central difference with h = 1e-4*gamma
+    matches the rate below to BISECT_TOL/h plus 1e-6 of the rate:
+
+        di/dgamma = k(i)/(delta - gamma*k'(i)) > 0,
+        k(i) = (1 - delta/beta - i)*p_ps(i) - (delta/beta)*p_sp(i).
+    """
+    delta = delta_frac * beta
+    grid = [10.0 ** (k / 4.0) for k in sorted(exponents)]
+    rows = equilibrium_infection_vs_gamma(beta, delta, spec, grid)
+    levels = [row.i_eq for row in rows]
+    assert levels == sorted(levels)
+    if isinstance(spec, StepResponse):
+        assert all(level <= spec.i_star for level in levels)
+        return
+    s_eq = delta / beta
+    resp = compile_response(spec)
+    for row in rows:
+        if row.kind is not EquilibriumKind.ENDEMIC:
+            continue
+        gamma, i = row.gamma, row.i_eq
+        h = 1e-4 * gamma
+        stencil = equilibrium_infection_vs_gamma(beta, delta, spec, [gamma - h, gamma + h])
+        lo, hi = (r.i_eq for r in stencil)
+        # the roots are known to BISECT_TOL: keep the stencils whose true
+        # roots lie on one piece
+        if _piece(spec, lo - BISECT_TOL) != _piece(spec, hi + BISECT_TOL):
+            continue
+        p_sp, p_ps = resp(i)
+        d_sp, d_ps = response_slopes(spec, i)
+        k = (1.0 - s_eq - i) * p_ps - s_eq * p_sp
+        dk = -p_ps + (1.0 - s_eq - i) * d_ps - s_eq * d_sp
+        rate = k / (delta - gamma * dk)
+        assert abs((hi - lo) / (2.0 * h) - rate) <= BISECT_TOL / h + 1e-6 * abs(rate)

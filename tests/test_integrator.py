@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from epiresponse import integrator
 from epiresponse.equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -17,6 +19,7 @@ from epiresponse.integrator import (
     DomainError,
     EventKind,
     IntegratorConfig,
+    StepBudgetError,
     StepUnderflowError,
     TerminationReason,
     Trajectory,
@@ -86,6 +89,23 @@ def test_config_validation():
 def test_unrepresentable_steps_raise_step_underflow(params, x0, cfg):
     with pytest.raises(StepUnderflowError):
         integrate(params, StepResponse(0.2), x0, cfg)
+
+
+def test_a_zeno_spiral_without_capture_spends_the_step_budget(monkeypatch):
+    # ~22 us an accepted point and ~125,000 points by t = 12: without the
+    # budget the default t_max = 1e4 is out of reach
+    monkeypatch.setattr(integrator, "MAX_STEPS", 2000)
+    cfg = IntegratorConfig(capture_spiral=False)
+    start = time.perf_counter()
+    with pytest.raises(StepBudgetError) as info:
+        integrate(ModelParams(1.0, 3.0, 0.2), StepResponse(0.1), State(0.6, 0.1), cfg)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < info.value.t < cfg.t_max
+    assert info.value.state.i == pytest.approx(0.1, abs=0.05)
+    message = str(info.value)
+    assert "2000 DP5 attempts" in message
+    assert "crossings of the switching line" in message
+    assert "Zeno" in message and "capture_spiral" in message
 
 
 def test_first_step_guess_below_min_step_is_tried_at_min_step():
