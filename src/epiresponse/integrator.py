@@ -11,17 +11,18 @@ per-step cost low enough to follow the slow spiral into a sliding point.
 
 Every accepted point, a step's end or a crossing, takes one tail and then
 `settle`, the one place a run ends before t_max: the spiral capture, then
-the rest test.  Near an asymptotically stable sliding point the crossings
-accumulate: the inverse crossing radius grows by a fixed amount per
-revolution, so no finite-step method reaches the point in finite time.
-When the closed-form stability certificate holds, capture keeps a streak
-over the crossing radii r = |s - s_slide|: r >= `CAPTURE_RADIUS` resets it
-to 0, a smaller r extends it when r is below the previous radius and
-restarts it at 1 otherwise.  At `CAPTURE_COUNT`, i.e. once the last
-`CAPTURE_COUNT` radii are all below `CAPTURE_RADIUS`, each smaller than
-the one before, the run ends *at* the sliding point.  This truncation of
-the infinite crossing sequence is the only deviation from plain numerical
-integration; `IntegratorConfig.capture_spiral` disables it.
+the rest test.  Around an asymptotically stable sliding point the flow is
+a fused focus: the crossings accumulate, and the crossing radius
+r = |s - s_slide| obeys 1/r -> 1/r + |A+ - A-| per loop (Filippov 1988;
+Kuznetsov, Rinaldi & Gragnani 2003), so no finite-step method reaches the
+point in finite time.  When `stability_sliding` certifies the point,
+capture takes each crossing's per-loop gain 1/r - 1/r_prev against the
+last crossing on the same side of L.  Once `LOOP_COUNT` consecutive
+crossings each have a gain within relative `LOOP_TOL` of |A+ - A-| and a
+radius below the crossing before, the spiral follows its normal form and
+the run ends *at* the sliding point.  This truncation of the infinite
+crossing sequence is the only deviation from plain numerical integration;
+`IntegratorConfig.capture_spiral` disables it.
 """
 
 import dataclasses
@@ -136,11 +137,10 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-# Sliding-point endgame: terminate at the sliding equilibrium once its
-# stability certificate holds and `CAPTURE_COUNT` consecutive crossing
-# radii are all below `CAPTURE_RADIUS` and strictly shrinking.
-CAPTURE_RADIUS = 3e-3
-CAPTURE_COUNT = 6
+# Sliding-point endgame (module docstring): the relative tolerance on the
+# per-loop gain of 1/r, and the crossings in a row that must meet it.
+LOOP_TOL = 1e-2
+LOOP_COUNT = 3
 
 # DP5 attempts, accepted and rejected, that one run may make: 27 s on a
 # spiral that crosses L at nearly every step (Python 3.11, one x86 core).
@@ -193,7 +193,8 @@ class Trajectory:
     stored dense segments.  ``equilibrium`` is the equilibrium the path came
     to rest at, ``None`` when it ran to t_max.  If the sliding-point capture
     fired, the final sample is the certified limit point itself rather than
-    the last crossing state (they differ by at most `CAPTURE_RADIUS`).
+    the last crossing state: `LOOP_COUNT` loops in a row had gained
+    |A+ - A-| in 1/r, to within `LOOP_TOL`.
     """
 
     times: np.ndarray
@@ -350,8 +351,11 @@ def integrate(
     if is_step and cfg.capture_spiral and sliding_eq is not None:
         report = stability_sliding(params, i_star)
         capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
-    # crossings in the current capture streak, and the last crossing radius
-    streak, last_r = 0, math.inf
+        if capture_armed:
+            loop_gain = report.a_minus - report.a_plus  # = |A+ - A-|
+    # consecutive crossings that met the certificate, the last crossing
+    # radius, and the last one on each side of L (indexed by `up`)
+    matched, last_r, side_r = 0, math.inf, [math.inf, math.inf]
 
     t = 0.0
     s, i = x0.s, x0.i
@@ -376,12 +380,18 @@ def integrate(
 
     def settle(crossed):
         """The equilibrium the run ends at here, or None to go on."""
-        nonlocal s, i, streak, last_r
+        nonlocal s, i, matched, last_r
         if crossed and capture_armed:
             r = abs(s - sliding_eq.point.s)
-            streak = (streak + 1 if r < last_r else 1) if r < CAPTURE_RADIUS else 0
+            r_prev, side_r[up] = side_r[up], r
+            # |1/r - 1/r_prev - gain| <= LOOP_TOL*gain, times r*r_prev: no
+            # division by r = 0, and false (nan) while r_prev is inf
+            gain_ok = abs(r_prev - r - loop_gain * r * r_prev) <= (
+                LOOP_TOL * loop_gain * r * r_prev
+            )
+            matched = matched + 1 if gain_ok and r < last_r else 0
             last_r = r
-            if streak >= CAPTURE_COUNT:
+            if matched >= LOOP_COUNT:
                 s, i = sliding_eq.point.s, sliding_eq.point.i
                 if store_samples:
                     sample_s[-1] = s

@@ -625,7 +625,11 @@ def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
 # SHA-256 of the deterministic integrator's outputs.  `integrate` and
 # `basin` write what the Dormand-Prince steps, the crossing location, the
 # sliding capture and the rest test compute, to the last bit; a rewrite of
-# the integration loop must leave every one of these unchanged.
+# the integration loop must leave every one of these unchanged.  The
+# `capture` pair was re-pinned when the capture rule became the normal-form
+# certificate (1/r gains |A+ - A-| per loop): that run now ends at
+# t = 7.19 after 5 crossings, where the old streak of radii below 3e-3
+# ended it at t = 15.01 after 130; every other digest stayed as it was.
 INTEGRATOR_RUNS = {
     "capture": ("integrate", SLIDING_CFG + "s0 = 0.9\ni0 = 0.05\n", ()),
     "no-capture": (
@@ -650,10 +654,10 @@ INTEGRATOR_RUNS = {
 }
 INTEGRATOR_SHA256 = {
     ("capture", "trajectory.csv"): (
-        "145fb7b12b0740fa01c017134a17b7b932e23dd53223345317c51fad4b351b77"
+        "e5d194e9c392478b55391da81a2c57c85757f02efa10ce47d1b6a9368c797606"
     ),
     ("capture", "events.csv"): (
-        "7dd8daf4a28946df142f81ca0e9a01c5c5814229464f5014fbc5650c48c9ab5e"
+        "1a326859128f3e5804aa8e60e040a652d8c6793552423e4de89321e261c973ea"
     ),
     ("no-capture", "trajectory.csv"): (
         "3d61e4745cce131fd5ceb03754f6f991e521119818268d3f13b3378adabee4bb"

@@ -12,10 +12,12 @@ from epiresponse.equilibria import (
     EquilibriumKind,
     find_equilibria,
     g_function,
+    sliding_normal_form,
+    stability_sliding,
 )
 from epiresponse.integrator import (
-    CAPTURE_COUNT,
-    CAPTURE_RADIUS,
+    LOOP_COUNT,
+    LOOP_TOL,
     DomainError,
     EventKind,
     IntegratorConfig,
@@ -384,31 +386,45 @@ def test_capture_terminates_exactly_at_sliding_point():
     assert traj.equilibrium == find_equilibria(FIG, StepResponse(0.2))[-1]
 
 
+def loop_gain(params, i_star):
+    """|A+ - A-|: the growth of 1/r per loop of the fused focus."""
+    report = stability_sliding(params, i_star)
+    return abs(report.a_plus - report.a_minus)
+
+
+def certified(radii, gain, n):
+    """The capture certificate at crossing n of an uncaptured run: each of
+    the last LOOP_COUNT crossings gains 1/r - 1/r_prev within relative
+    LOOP_TOL of `gain` over the crossing before on the same side of L,
+    and has a radius below the crossing just before it."""
+    return n >= LOOP_COUNT + 1 and all(
+        abs(1.0 / radii[k] - 1.0 / radii[k - 2] - gain) <= LOOP_TOL * gain
+        and radii[k] < radii[k - 1]
+        for k in range(n + 1 - LOOP_COUNT, n + 1)
+    )
+
+
+def crossing_radii(traj, s_slide):
+    times = [t for t, _ in crossings(traj)]
+    return times, [abs(state_at(traj, t)[0] - s_slide) for t in times]
+
+
 @pytest.mark.parametrize(
     "i_star, x0",
     [(0.2, State(0.9, 0.05)), (0.25, State(0.3, 0.6)), (0.15, State(0.6, 0.1))],
 )
-def test_capture_fires_at_the_first_crossing_that_meets_the_streak_rule(i_star, x0):
+def test_capture_fires_at_the_first_crossing_that_meets_the_certificate(i_star, x0):
     """An uncaptured run is the oracle: capture fires at its first crossing
-    whose last CAPTURE_COUNT radii are all below CAPTURE_RADIUS and each
-    smaller than the one before, and both runs agree bitwise until then."""
+    where the certificate holds, and both runs agree bitwise until then."""
     spec = StepResponse(i_star)
     caught = integrate(FIG, spec, x0)
     assert caught.equilibrium.kind is EquilibriumKind.SLIDING
     cfg = IntegratorConfig(capture_spiral=False, t_max=caught.final_time + 0.5)
     free = integrate(FIG, spec, x0, cfg)
     assert free.reason is TerminationReason.T_MAX
-    s_slide = caught.equilibrium.point.s
-    cross_times = [t for t, _ in crossings(free)]
-    radii = [abs(state_at(free, t)[0] - s_slide) for t in cross_times]
-
-    def streak_ends_at(n):
-        recent = radii[n + 1 - CAPTURE_COUNT : n + 1]
-        return all(r < CAPTURE_RADIUS for r in recent) and all(
-            b < a for a, b in zip(recent, recent[1:])
-        )
-
-    fire = next(n for n in range(CAPTURE_COUNT - 1, len(radii)) if streak_ends_at(n))
+    cross_times, radii = crossing_radii(free, caught.equilibrium.point.s)
+    gain = loop_gain(FIG, i_star)
+    fire = next(n for n in range(len(radii)) if certified(radii, gain, n))
     t_fire = cross_times[fire]
     assert (t_fire, EventKind.HIT_SLIDING) in caught.events
     assert caught.final_time == t_fire
@@ -416,6 +432,72 @@ def test_capture_fires_at_the_first_crossing_that_meets_the_streak_rule(i_star, 
     m = int(np.searchsorted(free.times, t_fire))
     assert np.array_equal(caught.times, free.times[: m + 1])
     assert np.array_equal(caught.states[:m], free.states[:m])
+
+
+@pytest.mark.parametrize("x0", [State(0.9, 0.05), State(0.6, 0.3)])
+def test_readme_sliding_run_is_captured_within_eight_crossings(x0):
+    # the work gate, counted rather than timed: 5 crossings each; the
+    # streak of 6 radii below 3e-3 that capture once waited for took 130
+    # from (0.9, 0.05)
+    traj = integrate(FIG, StepResponse(0.2), x0, IntegratorConfig(t_max=30.0))
+    assert traj.equilibrium.kind is EquilibriumKind.SLIDING
+    assert traj.final_state == State(0.5, 0.2)
+    assert len(crossings(traj)) <= 8
+
+
+# Admissible step models with a sliding point, i_star a fraction of I1 (every
+# admissible sliding point of this model that is not `boundary` is
+# asymptotically stable), and a start in the interior.
+SLIDING_CASES = st.tuples(
+    st.floats(0.5, 3.0),  # beta
+    st.floats(0.2, 5.0),  # gamma
+    st.floats(0.1, 0.8),  # delta / beta
+    st.floats(0.2, 0.95),  # i_star / I1
+    STARTS.filter(lambda x: x.i >= 0.01),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=SLIDING_CASES)
+def test_spiral_follows_the_sliding_normal_form(case):
+    """Without capture the crossing radii r obey the fused-focus normal
+    form: 1/r gains |A+ - A-| per loop, and a loop takes c*r, so the time
+    from radius r0 to r is c/|A| * ln(r0/r), c = 2*(1/P+(0,0) + 1/|P-(0,0)|).
+    Wherever the certificate first holds, the spiral goes on shrinking
+    below 3e-3 (the radius capture once waited for)."""
+    beta, gamma, ratio, frac, x0 = case
+    params = ModelParams(beta, gamma, ratio * beta)
+    i1 = (1.0 - ratio) / (1.0 + ratio * beta / gamma)
+    spec = StepResponse(frac * i1)
+    nf = sliding_normal_form(params, spec.i_star)
+    gain = loop_gain(params, spec.i_star)
+    c = 2.0 * (1.0 / nf.p_plus_0 + 1.0 / abs(nf.p_minus_0))
+    s_slide = params.delta / beta
+
+    caught = integrate(params, spec, x0)
+    assert caught.events[-2] == (caught.final_time, EventKind.HIT_SLIDING)
+    t_fire = caught.final_time
+    r_fire = abs(caught.evaluate([t_fire])[0, 0] - s_slide)
+    # long enough, by the time law, for r to fall to 2e-3
+    t_max = t_fire + 1.25 * c / gain * math.log(max(r_fire, 2e-3) / 2e-3) + 1e-3 * c
+
+    # no false fire, on the run that capture truncates
+    free = integrate(params, spec, x0, IntegratorConfig(capture_spiral=False, t_max=t_max))
+    times, radii = crossing_radii(free, s_slide)
+    fire = times.index(t_fire)
+    assert certified(radii, gain, fire)
+    assert all(b < a for a, b in zip(radii[fire:], radii[fire + 1 :]))
+    assert radii[-1] < 3e-3
+
+    # the normal form, on a run accurate enough to resolve it at r ~ 2e-3
+    tight = IntegratorConfig(capture_spiral=False, t_max=t_max, rel_tol=1e-11, abs_tol=1e-13)
+    times, radii = crossing_radii(integrate(params, spec, x0, tight), s_slide)
+    gains = [1.0 / radii[k] - 1.0 / radii[k - 2] for k in range(fire, len(radii))]
+    assert all(abs(g - gain) <= LOOP_TOL * gain for g in gains)
+    assert all(abs(g - gain) <= 1e-3 * gain for g in gains[-2:])
+    last = len(radii) - 1 - (len(radii) - 1 - fire) % 2  # same side as `fire`
+    elapsed = times[last] - times[fire]
+    assert elapsed == pytest.approx(c / gain * math.log(radii[fire] / radii[last]), rel=5e-3)
 
 
 def test_capture_not_armed_without_stable_certificate():
