@@ -18,12 +18,13 @@ aggregate rate exact).  Agents are exchangeable here, so only the counts
 (n_S, n_I, n_P) evolve; per-agent identity matters only for the
 contact-trace engine, which has its own machinery.
 
-As trace replay does, a run draws its clock from `sampling.clock_events`,
-which fixes how randomness is consumed, logs the time of every realized
-jump, one log per row of `sampling.MOVES`, and samples the logs on the
-grid afterwards with `sampling.counts_on_grid`.  The transition tallies
-and the occupation integrals follow from the same logs, so every run
-returns them.
+A run draws trace replay's clock in numpy blocks (`sampling.clock_blocks`),
+logs the time of every realized jump, one log per row of `sampling.MOVES`,
+and samples the logs on the grid with `sampling.counts_on_grid`; the
+transition tallies and occupation integrals follow from the same logs.
+At n >= 1000 it drops in numpy each event that is a no-op for every state
+within n // 40 agents of its window's start state, and passes the rest,
+in order, to the exact per-event tests: same stream, same jumps.
 
 The response is evaluated through `model.compile_response`, the scalar
 kernel shared with the integrator and the trace engine; at a step
@@ -43,7 +44,7 @@ from .model import (
     State,
     compile_response,
 )
-from .sampling import MOVES, check_work, clock_events, counts_on_grid, uniform_grid
+from .sampling import MOVES, check_work, clock_blocks, counts_on_grid, uniform_grid
 
 __all__ = [
     "AgentPopulation",
@@ -105,7 +106,8 @@ class SimRun:
     piecewise constant between events).  ``transition_counts`` holds the
     tally of realized jumps by type and ``occupation`` the time-integrals
     of (n_S, n_I, n_P) over [0, final_t], for rate/compensator checks;
-    `simulate_ctmc` always fills both, from its jump logs.
+    `simulate_ctmc` always fills both, from its jump logs, and counts the
+    ``clock_events`` drawn and the ``passed_events`` not certain no-ops.
     """
 
     seed: object
@@ -116,6 +118,8 @@ class SimRun:
     final_t: float
     transition_counts: dict[str, int] | None = None
     occupation: tuple[float, float, float] | None = None
+    clock_events: int = 0
+    passed_events: int = 0
 
     @property
     def fractions(self) -> np.ndarray:
@@ -152,7 +156,7 @@ def simulate_ctmc(
     beta, gamma, delta = params.beta, params.gamma, params.delta
     resp = compile_response(spec)
     n = pop0.n
-    n_s, n_i, n_p = pop0.counts
+    n_s, n_i, _ = pop0.counts
     total = beta + gamma + delta
     lam = n * total
     if math.isinf(lam):  # the clock would never advance
@@ -165,29 +169,53 @@ def simulate_ctmc(
 
     logs = tuple(array("d") for _ in MOVES)
     infect, protect, unprotect, recover = (log.append for log in logs)
-    for te, u1, u2, u3 in clock_events(seed, lam, t_max):
-        init = u2 * n
-        if u1 < p_meet:
-            if init < n_s and u3 * (n - 1) < n_i:
-                n_s -= 1
-                n_i += 1
-                infect(te)
-        elif u1 < p_meet_update:
-            if init < n_s:
-                if u3 < resp(n_i * inv_n)[0]:
-                    n_s -= 1
-                    n_p += 1
-                    protect(te)
-            elif init >= n_s + n_i:
-                if u3 < resp(n_i * inv_n)[1]:
-                    n_p -= 1
-                    n_s += 1
-                    unprotect(te)
-        else:
-            if n_s <= init < n_s + n_i:
-                n_i -= 1
-                n_p += 1
-                recover(te)
+    drawn = passed = 0
+    margin = n // 40
+    for times, uu in clock_blocks(seed, lam, t_max):
+        drawn += times.size
+        u1, u3, inits = uu[:, 0], uu[:, 2], uu[:, 1] * n
+        start = 0
+        while start < times.size:
+            if n < 1000:  # a box of n // 40 agents is too narrow to pay
+                at, start = np.arange(times.size), times.size
+            else:
+                # Until `margin` events of a window pass, n_s, n_i and
+                # n_s + n_i stay within `margin` of their start values; an
+                # event that is a no-op for every state in that box is
+                # dropped.  Rounding to floats keeps the bounds' order, and
+                # 1e-12 covers a tabulated ramp passing its ends by ulps.
+                w = slice(start, start + 8 * margin)
+                init, v1, v3 = inits[w], u1[w], u3[w]
+                if_s = init <= n_s + margin
+                p_sp = v3 < resp(min(n_i + margin, n) * inv_n)[0] + 1e-12
+                p_ps = v3 < resp(max(n_i - margin, 0) * inv_n)[1] + 1e-12
+                meet = if_s & (v3 * (n - 1) <= n_i + margin)
+                update = if_s & p_sp | (init >= n_s + n_i - margin) & p_ps
+                recovery = (init >= n_s - margin) & (init <= n_s + n_i + margin)
+                keep = np.where(v1 < p_meet_update, update, recovery)
+                keep = np.where(v1 < p_meet, meet, keep)
+                at = np.flatnonzero(keep)[:margin] + start
+                start = int(at[-1]) + 1 if at.size == margin else w.stop
+            passed += at.size
+            events = (times[at], u1[at], inits[at], u3[at])
+            for te, v1, init, v3 in zip(*(column.tolist() for column in events)):
+                if v1 < p_meet:
+                    if init < n_s and v3 * (n - 1) < n_i:
+                        n_s -= 1
+                        n_i += 1
+                        infect(te)
+                elif v1 < p_meet_update:
+                    if init < n_s:
+                        if v3 < resp(n_i * inv_n)[0]:
+                            n_s -= 1
+                            protect(te)
+                    elif init >= n_s + n_i:
+                        if v3 < resp(n_i * inv_n)[1]:
+                            n_s += 1
+                            unprotect(te)
+                elif n_s <= init < n_s + n_i:
+                    n_i -= 1
+                    recover(te)
 
     # A jump at time t adds its move to the occupation integrals for the
     # remaining t_max - t.
@@ -202,6 +230,8 @@ def simulate_ctmc(
         final_t=t_max,
         transition_counts=dict(zip(_TRANSITIONS, map(len, logs))),
         occupation=tuple(occupation.tolist()),
+        clock_events=drawn,
+        passed_events=passed,
     )
 
 

@@ -94,13 +94,14 @@ class StepUnderflowError(RuntimeError):
 class StepBudgetError(RuntimeError):
     """`MAX_STEPS` DP5 attempts spent before t_max; carries the last state."""
 
-    def __init__(self, t: float, state: State, crossings: int):
+    def __init__(self, t: float, state: State, crossings: int, capture: bool):
+        advice = ("capture_spiral = true did not end this run: lower t_max" if capture
+                  else "set capture_spiral = true or lower t_max")
         super().__init__(
             f"step budget of {MAX_STEPS} DP5 attempts spent at t={t} near state "
             f"{state}, after {crossings} crossings of the switching line: "
             "crossings that accumulate in finite time (a Zeno spiral into a "
-            "sliding point) never reach t_max; set capture_spiral = true or "
-            "lower t_max"
+            f"sliding point) never reach t_max; {advice}"
         )
         self.t = t
         self.state = state
@@ -455,7 +456,7 @@ def integrate(
             break  # within round-off of the horizon
         if attempts == MAX_STEPS:
             # only crossings are logged before the run ends
-            raise StepBudgetError(t, State(s, i), len(events))
+            raise StepBudgetError(t, State(s, i), len(events), cfg.capture_spiral)
         attempts += 1
         h = min(h, remaining)
         if h < min_step:

@@ -6,7 +6,7 @@ of every realized jump to the log of its move code and turns the logs
 into grid samples once, afterwards: the state at grid time ``g`` includes
 every jump at or before ``g``.  Both stochastic engines (`ctmc` and
 `traces`) log the moves of `MOVES` this way and share the work budgets
-and the agents' clock, `clock_events`.
+and the agents' clock: `clock_blocks` in numpy, `clock_events` by event.
 """
 
 import math
@@ -20,6 +20,7 @@ __all__ = [
     "MOVES",
     "RUN_EVENTS",
     "check_work",
+    "clock_blocks",
     "clock_events",
     "uniform_grid",
     "counts_on_grid",
@@ -36,13 +37,13 @@ MOVES = ((-1, 1, 0), (-1, 0, 1), (1, 0, -1), (0, -1, 1))
 MAX_GRID_POINTS = 10**6
 
 # Expected clock events a run may draw; at the cap a run takes about a
-# minute.  The jump process takes ~0.35 us an event and trace replay ~0.7
-# us; both log 8 bytes per realized jump (at most 0.8 GB at the cap) and
-# hold one block of their clock stream at a time.
+# minute.  The jump process takes ~0.2 us an event at n = 10^4 (~0.35 us
+# at n <= 1000) and trace replay ~0.7 us; both log 8 bytes per realized
+# jump (at most 0.8 GB at the cap) and hold one clock block at a time.
 MAX_CLOCK_EVENTS = 10**8
 
-# The fixed cost of one run, ~0.2 ms, in clock events of ~0.4 us: charged
-# per run, it bounds many short runs as `MAX_CLOCK_EVENTS` bounds long ones.
+# The fixed cost of one run, ~0.2 ms, in events of a short run (~0.4 us):
+# charged per run, it bounds many short runs as `MAX_CLOCK_EVENTS` bounds long ones.
 RUN_EVENTS = 500
 
 
@@ -58,8 +59,15 @@ def check_work(what: str, events: float, runs: int = 0) -> None:
 
 
 def clock_events(seed, rate: float, t_end: float):
-    """The events of a Poisson clock of constant ``rate`` over [0, t_end],
-    as a C-level iterator of ``(t, u1, u2, u3)`` in time order.
+    """The rows of `clock_blocks` as a C-level iterator of ``(t, u1, u2,
+    u3)`` in time order."""
+    blocks = clock_blocks(seed, rate, t_end)
+    return chain.from_iterable(zip(t.tolist(), *uu.T.tolist()) for t, uu in blocks)
+
+
+def clock_blocks(seed, rate: float, t_end: float):
+    """The events of a Poisson clock of constant ``rate`` over [0, t_end]
+    in numpy blocks ``(times, uu)``: ascending times and their uniforms.
 
     ``seed`` is an int or a sequence of ints, e.g. ``(base_seed, run)``
     for an independent substream.  Randomness is consumed in a fixed
@@ -68,10 +76,6 @@ def clock_events(seed, rate: float, t_end: float):
     each drawn as its exponential gaps, then ``random((block, 3))``,
     until a block passes ``t_end``.  At rate 0 nothing is drawn.
     """
-    return chain.from_iterable(_clock_blocks(seed, rate, t_end))
-
-
-def _clock_blocks(seed, rate, t_end):
     if not rate > 0.0:
         return
     e = rate * t_end
@@ -88,7 +92,7 @@ def _clock_blocks(seed, rate, t_end):
         with np.errstate(over="ignore"):
             np.cumsum(times, out=times)
         last = int(np.searchsorted(times, t_end, side="right"))
-        yield zip(times[:last].tolist(), *uu[:last].T.tolist())
+        yield times[:last], uu[:last]
         if last < block:
             return
         t = float(times[-1])

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epiresponse import ctmc
 from epiresponse.ctmc import (
     AgentPopulation,
     SimRun,
@@ -20,8 +22,9 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    compile_response,
 )
-from epiresponse.sampling import MOVES
+from epiresponse.sampling import MOVES, clock_events, counts_on_grid
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)
 
@@ -281,3 +284,97 @@ def test_convergence_study_validates_inputs():
     with pytest.raises(ValueError):
         convergence_study(FIG, SigmoidResponse(0.5, 0.05), State(0.9, 0.1),
                           n_list=(100, 200), runs_per_n=0)
+
+
+# ------------------------------------------- against the plain uniformized loop
+
+
+def plain_uniformized_run(params, spec, pop0, t_max, seed):
+    """Every clock event of `sampling.clock_events` through the per-event
+    tests, none dropped in advance: the jump logs by move, and the number
+    of clock events."""
+    resp = compile_response(spec)
+    n, inv_n = pop0.n, 1.0 / pop0.n
+    n_s, n_i, _ = pop0.counts
+    total = params.beta + params.gamma + params.delta
+    p_meet, p_meet_update = params.beta / total, (params.beta + params.gamma) / total
+    logs, events = [[], [], [], []], 0
+    for te, u1, u2, u3 in clock_events(seed, n * total, t_max):
+        events += 1
+        init = u2 * n
+        if u1 < p_meet:
+            if init < n_s and u3 * (n - 1) < n_i:
+                n_s, n_i = n_s - 1, n_i + 1
+                logs[0].append(te)
+        elif u1 < p_meet_update:
+            if init < n_s:
+                if u3 < resp(n_i * inv_n)[0]:
+                    n_s -= 1
+                    logs[1].append(te)
+            elif init >= n_s + n_i:
+                if u3 < resp(n_i * inv_n)[1]:
+                    n_s += 1
+                    logs[2].append(te)
+        elif n_s <= init < n_s + n_i:
+            n_i -= 1
+            logs[3].append(te)
+    return logs, events
+
+
+@st.composite
+def steep_responses(draw, i0):
+    """Ramps centred near the starting infected fraction, many of them
+    narrower than a window's n // 40 agents."""
+    centre = min(max(i0 + draw(st.floats(-0.03, 0.03)), 0.01), 0.95)
+    width = draw(st.sampled_from([1e-12, 1e-6, 1e-4, 1e-3, 0.01, 0.05]))
+    low, high = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    return draw(st.one_of(
+        st.just(StepResponse(centre)),
+        st.just(SigmoidResponse(centre, width)),
+        st.builds(ConstantResponse, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        st.just(TabulatedResponse(
+            (0.0, max(centre - width, 1e-9), centre, 1.0),
+            (0.0, low, high, 1.0),
+            (1.0, high, low, 0.0),
+        )),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1000, 4000), seed=st.integers(0, 2**32))
+def test_dropping_certain_no_ops_leaves_every_jump_in_place(data, n, seed):
+    """The engine's jump logs, tallies, occupation integrals and grid
+    counts equal those of the plain loop over the same clock stream."""
+    rates = data.draw(st.tuples(
+        st.floats(0.05, 3.0), st.floats(0.0, 3.0), st.floats(0.05, 3.0)))
+    params = ModelParams(*rates)
+    s0 = data.draw(st.floats(0.0, 1.0))
+    i0 = data.draw(st.floats(0.0, 1.0)) * (1.0 - s0)
+    spec = data.draw(steep_responses(i0))
+    pop0 = AgentPopulation.from_fractions(n, s0, i0)
+    # at most ~40,000 clock events
+    t_max = data.draw(st.floats(0.05, 2.0)) * min(1.0, 4.0 / sum(rates))
+    with mock.patch.object(ctmc, "counts_on_grid", wraps=counts_on_grid) as grid_call:
+        run = simulate_ctmc(params, spec, pop0, t_max, seed, sample_dt=t_max / 50)
+    engine_logs = [log.tolist() for log in grid_call.call_args.args[2]]
+    logs, drawn = plain_uniformized_run(params, spec, pop0, t_max, seed)
+    assert engine_logs == logs
+    assert run.transition_counts == dict(
+        zip(("infect", "protect", "unprotect", "recover"), map(len, logs)))
+    held = [len(log) * t_max - math.fsum(log) for log in logs]
+    occupation = np.multiply(pop0.counts, t_max) + np.dot(held, MOVES)
+    assert run.occupation == tuple(occupation.tolist())
+    np.testing.assert_array_equal(
+        run.counts, counts_on_grid(pop0.counts, MOVES, logs, run.times))
+    assert run.clock_events == drawn
+    assert sum(map(len, logs)) <= run.passed_events <= drawn
+
+
+def test_most_certain_no_ops_never_reach_the_per_event_tests():
+    # the benchmark's jump process: n = 10^4, t in [0, 50], ~1.25M clock
+    # events of which ~17% are jumps
+    pop = AgentPopulation.from_fractions(10_000, 0.99, 0.01)
+    run = simulate_ctmc(FIG, SigmoidResponse(0.5, 0.001), pop, 50.0, seed=(0, 0))
+    jumps = sum(run.transition_counts.values())
+    assert run.clock_events > 1_200_000
+    assert jumps <= run.passed_events <= 0.35 * run.clock_events

@@ -110,6 +110,22 @@ def test_a_zeno_spiral_without_capture_spends_the_step_budget(monkeypatch):
     assert "Zeno" in message and "capture_spiral" in message
 
 
+def test_the_step_budget_advice_follows_the_capture_setting(monkeypatch):
+    # with the real budget the capture-on run ends by the certificate at
+    # t = 7.19, so 50 attempts stop both runs mid-spiral
+    monkeypatch.setattr(integrator, "MAX_STEPS", 50)
+    advice = {}
+    for capture in (True, False):
+        with pytest.raises(StepBudgetError) as info:
+            integrate(FIG, StepResponse(0.2), State(0.9, 0.05),
+                      IntegratorConfig(capture_spiral=capture))
+        advice[capture] = str(info.value).partition("never reach t_max; ")[2]
+    assert advice[False] == "set capture_spiral = true or lower t_max"
+    assert "set capture_spiral" not in advice[True]
+    assert advice[True].startswith("capture_spiral = true did not end this run")
+    assert advice[True].endswith("lower t_max")
+
+
 def test_first_step_guess_below_min_step_is_tried_at_min_step():
     # at s = 0 with a tiny i the first-step heuristic proposes ~1e-14,
     # below 1e-14 * t_max: that is a poor guess, not an underflow
