@@ -129,7 +129,17 @@ def _write_text(path: str, text: str) -> None:
     print(path)
 
 
+def _row_format(row) -> str:
+    """The ``%`` format of a CSV row shaped like ``row``: ``%.17g`` for a
+    float cell and ``%s`` for any other, which is what `format_value`
+    writes for floats, ints and strings."""
+    return ",".join("%.17g" if isinstance(cell, float) else "%s" for cell in row)
+
+
 def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
+    """Write ``rows`` under ``header`` as ``name.csv`` or ``name.json``.  A
+    column holds one type throughout, so one row format, taken from the
+    first row, writes every row of the CSV."""
     if fmt == "json":
         payload = {
             "columns": list(header),
@@ -141,7 +151,9 @@ def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
         )
         return
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
+    if rows:
+        row_format = _row_format(rows[0])
+        lines.extend(row_format % tuple(row) for row in rows)
     _write_text(os.path.join(out_dir, f"{name}.csv"), "\n".join(lines) + "\n")
 
 
@@ -358,10 +370,17 @@ def cmd_trace(values, args) -> int:
 
     infected = values["infected_nodes"] or (trace.node_ids[0],)
     protected = values["protected_nodes"] or ()
-    unknown = [n for n in (*infected, *protected) if n not in trace.node_ids]
-    if unknown:
+    for key, nodes in (("infected_nodes", infected), ("protected_nodes", protected)):
+        unknown = sorted(set(nodes) - set(trace.node_ids))
+        if unknown:
+            raise ConfigError(f"key '{key}': unknown node ids {unknown}")
+    both = sorted(set(infected) & set(protected))
+    if both:
+        why = "named in 'infected_nodes'" if values["infected_nodes"] else (
+            "the trace's first node, infected when 'infected_nodes' is not set"
+        )
         raise ConfigError(
-            f"key 'infected_nodes': unknown node ids {sorted(set(unknown))}"
+            f"key 'protected_nodes': node ids {both} are also infected ({why})"
         )
     initial = {nid: "S" for nid in trace.node_ids}
     for nid in protected:

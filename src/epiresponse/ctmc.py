@@ -144,7 +144,7 @@ def simulate_ctmc(
 ) -> SimRun:
     """Run the jump process from ``pop0`` until ``t_max``.
 
-    ``seed`` seeds the clock, `sampling.clock_events`; identical seed and
+    ``seed`` seeds the clock, `sampling.clock_blocks`; identical seed and
     arguments give a bit-identical run.  A run expecting more than
     `sampling.MAX_CLOCK_EVENTS` clock events, or a grid of more than
     `sampling.MAX_GRID_POINTS`, is refused before anything is drawn.

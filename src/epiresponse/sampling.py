@@ -6,11 +6,12 @@ of every realized jump to the log of its move code and turns the logs
 into grid samples once, afterwards: the state at grid time ``g`` includes
 every jump at or before ``g``.  Both stochastic engines (`ctmc` and
 `traces`) log the moves of `MOVES` this way and share the work budgets
-and the agents' clock: `clock_blocks` in numpy, `clock_events` by event.
+and the agents' clock, `clock_blocks`: each reads the clock's numpy
+blocks, prepares what it can per block in numpy and loops in Python only
+over the events whose outcome depends on the state.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "RUN_EVENTS",
     "check_work",
     "clock_blocks",
-    "clock_events",
     "uniform_grid",
     "counts_on_grid",
 ]
@@ -38,8 +38,10 @@ MAX_GRID_POINTS = 10**6
 
 # Expected clock events a run may draw; at the cap a run takes about a
 # minute.  The jump process takes ~0.2 us an event at n = 10^4 (~0.35 us
-# at n <= 1000) and trace replay ~0.7 us; both log 8 bytes per realized
-# jump (at most 0.8 GB at the cap) and hold one clock block at a time.
+# at n <= 1000) and trace replay ~0.22 us on a long run (~0.47 us on the
+# 41-node bench trace, contacts and grid sampling included; 2-core x86
+# host, Python 3.11); both log 8 bytes per realized jump (at most 0.8 GB
+# at the cap) and hold one clock block at a time.
 MAX_CLOCK_EVENTS = 10**8
 
 # The fixed cost of one run, ~0.2 ms, in events of a short run (~0.4 us):
@@ -56,13 +58,6 @@ def check_work(what: str, events: float, runs: int = 0) -> None:
             f"{what}: {work:.3g} clock events of work, more than the budget "
             f"of {MAX_CLOCK_EVENTS:.0e}"
         )
-
-
-def clock_events(seed, rate: float, t_end: float):
-    """The rows of `clock_blocks` as a C-level iterator of ``(t, u1, u2,
-    u3)`` in time order."""
-    blocks = clock_blocks(seed, rate, t_end)
-    return chain.from_iterable(zip(t.tolist(), *uu.T.tolist()) for t, uu in blocks)
 
 
 def clock_blocks(seed, rate: float, t_end: float):

@@ -16,12 +16,17 @@ Simultaneous events are ordered by timestamp with contacts taking
 priority over clock events; clock times are continuous so clock/clock
 ties do not occur.
 
-Each class response is compiled once by `model.compile_response`, the
-scalar kernel shared with the jump process and the integrator.  A run
-tracks only the agents' states and the infected count the responses
-read; it logs the time of every transition, one log per class and move
-of `sampling.MOVES`, and `sampling.counts_on_grid` turns the logs into
-aggregate and per-class samples once the run is over.
+A class response only ever reads the infected fraction k / n, so each is
+tabulated once per experiment (`response_table`) at every infected count
+k, from `model.compile_response`, the scalar kernel shared with the jump
+process and the integrator; replay looks the tables up.  A run reads its
+clock in the numpy blocks of `sampling.clock_blocks`: per block, numpy
+turns the uniforms into agents and event types and finds, for each
+event, how many contacts start at or before it; the per-event loop then
+applies only the state-dependent tests.  A run tracks only the agents'
+states and the infected count; it logs the time of every transition, one
+log per class and move of `sampling.MOVES`, and `sampling.counts_on_grid`
+turns the logs into aggregate and per-class samples once the run is over.
 """
 
 import math
@@ -33,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ClassSpec, compile_response
-from .sampling import MOVES, check_work, clock_events, counts_on_grid, uniform_grid
+from .sampling import MOVES, check_work, clock_blocks, counts_on_grid, uniform_grid
 
 __all__ = [
     "Contact",
@@ -256,9 +261,18 @@ class TraceResult:
         return frozenset(nid for nid, hit in zip(self.node_ids, mask) if hit)
 
 
+def response_table(spec, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(p_sp, p_ps)`` of ``spec`` at every infected count k = 0..n of n
+    agents: a response only ever reads k / n, so replay looks it up.  Each
+    entry is the float `compile_response` returns at ``k * (1.0 / n)``."""
+    resp, inv_n = compile_response(spec), 1.0 / n
+    p_sp, p_ps = zip(*(resp(k * inv_n) for k in range(n + 1)))
+    return p_sp, p_ps
+
+
 def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> TraceResult:
     """Monte-Carlo replay of ``trace`` under ``exp``; run k draws its
-    clock from `sampling.clock_events` with the substream (seed, k).  An
+    clock from `sampling.clock_blocks` with the substream (seed, k).  An
     experiment whose runs together cost more than
     `sampling.MAX_CLOCK_EVENTS` (`sampling.check_work`: clock events,
     contacts, grid points and a fixed cost per run), or a grid of more than
@@ -291,7 +305,6 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     if any(sz == 0 for sz in class_sizes):
         raise ValueError("every class needs at least one member")
 
-    resp_fns = [compile_response(c.response) for c in exp.classes]
     span = trace.duration
     gamma, delta = exp.gamma, exp.delta
     clock_rate = n * (gamma + delta)
@@ -307,12 +320,16 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     if cut_idx == grid.size:
         raise ValueError("transient_cut leaves no samples")
 
-    c_start = [c.t_start for c in trace.contacts]
-    c_a = [index[c.a] for c in trace.contacts]
-    c_b = [index[c.b] for c in trace.contacts]
+    contacts = [(c.t_start, index[c.a], index[c.b]) for c in trace.contacts]
+    c_times = np.array([c.t_start for c in trace.contacts])
 
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
     inv_n = 1.0 / n
+
+    # Agent j reads its class's response tables at the infected count.
+    tables = [response_table(c.response, n) for c in exp.classes]
+    p_sp_of = [tables[c][0] for c in class_of]
+    p_ps_of = [tables[c][1] for c in class_of]
 
     # Agent j's transitions are logged under code 4 * class_of[j] + move;
     # each code moves one agent in the aggregate and in its class.
@@ -336,30 +353,41 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
         n_inf = st.count(_I)
         logs = [array("d") for _ in jumps]
 
-        # Contacts win ties; a last clock at inf drains the contacts left.
+        # Per clock event: its time, agent int(u * n), whether it is an
+        # update, its acceptance uniform, and the number of contacts at or
+        # before it, which are replayed first (contacts win ties).  A last
+        # event with no time drains the contacts left.
+        events = chain.from_iterable(
+            zip(
+                times.tolist(),
+                (uu[:, 1] * n).astype(np.intp).tolist(),
+                (uu[:, 0] < p_update).tolist(),
+                uu[:, 2].tolist(),
+                np.searchsorted(c_times, times, side="right").tolist(),
+            )
+            for times, uu in clock_blocks((seed, run), clock_rate, span)
+        )
         ci = 0
-        clock = clock_events((seed, run), clock_rate, span)
-        for tk, u_type, u_agent, u_act in chain(clock, [(math.inf, None, None, None)]):
-            while ci < n_contacts and c_start[ci] <= tk:
-                ja, jb = c_a[ci], c_b[ci]
-                sa, sb = st[ja], st[jb]
-                if (sa == _S and sb == _I) or (sa == _I and sb == _S):
-                    j = ja if sa == _S else jb
-                    st[j] = _I
-                    n_inf += 1
-                    logs[code_base[j]].append(c_start[ci])
-                ci += 1
-            if u_type is None:
+        for tk, j, update, u_act, c_stop in chain(events, [(None, 0, 0, 0, n_contacts)]):
+            if ci < c_stop:
+                for tc, a, b in contacts[ci:c_stop]:
+                    # S = 0, I = 1, P = 2: only an {S, I} pair sums to 1
+                    if st[a] + st[b] == 1:
+                        s = b if st[a] else a
+                        st[s] = _I
+                        n_inf += 1
+                        logs[code_base[s]].append(tc)
+                ci = c_stop
+            if tk is None:
                 break
-            j = int(u_agent * n)
             sj = st[j]
-            if u_type < p_update:
+            if update:
                 if sj == _S:
-                    if u_act < resp_fns[class_of[j]](n_inf * inv_n)[0]:
+                    if u_act < p_sp_of[j][n_inf]:
                         st[j] = _P
                         logs[code_base[j] + 1].append(tk)
                 elif sj == _P:
-                    if u_act < resp_fns[class_of[j]](n_inf * inv_n)[1]:
+                    if u_act < p_ps_of[j][n_inf]:
                         st[j] = _S
                         logs[code_base[j] + 2].append(tk)
             elif sj == _I:

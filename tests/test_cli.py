@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiresponse import integrator
-from epiresponse.cli import main
+from epiresponse.cli import _row_format, main
 from epiresponse.config import format_value
 from epiresponse.equilibria import equilibrium_infection_vs_gamma, find_equilibria
 from epiresponse.model import (
@@ -487,6 +487,23 @@ def test_trace_unknown_infected_node(tmp_path, capsys):
     assert "99" in capsys.readouterr().err
 
 
+def test_trace_protected_node_named_as_infected(tmp_path, capsys):
+    cfg = TRACE_CFG + "infected_nodes = 1,2\nprotected_nodes = 2,4\n"
+    code, out = run(tmp_path, "trace", cfg, str(FIXTURE))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'protected_nodes'" in err and "[2]" in err
+    assert not (out / "trace_avg.csv").exists()
+
+
+def test_trace_protected_node_infected_by_default(tmp_path, capsys):
+    # without 'infected_nodes' the trace's first node, 0, starts infected
+    code, _ = run(tmp_path, "trace", TRACE_CFG + "protected_nodes = 0\n", str(FIXTURE))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'protected_nodes'" in err and "[0]" in err
+
+
 def test_trace_malformed_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1,5,4\n")
@@ -597,12 +614,23 @@ def test_start_off_the_simplex_names_s0_and_i0(tmp_path, capsys, command):
 
 # ------------------------------------------------------------- output pins
 
-# SHA-256 of the stochastic engines' outputs on test_acceptance.CONFIGS.
-# A change to the random stream or to the rounding of a sample changes
-# these digests; such a change must be deliberate and announced.  Both
-# were re-pinned when the engines came to share `sampling.clock_events`:
+# SHA-256 of the stochastic engines' outputs on test_acceptance.CONFIGS,
+# and on a two-class trace whose class tables and per-class logs both
+# move.  A change to the random stream or to the rounding of a sample
+# changes these digests; such a change must be deliberate and announced.
+# The first two were re-pinned when the engines came to share the clock:
 # its blocks are sized to the run's expected events, so a run expecting
 # fewer than 65,536 (both of these) draws a new stream.
+PINNED_RUNS = {
+    "simulate": ("simulate", CONFIGS["simulate"]),
+    "trace": ("trace", CONFIGS["trace"]),
+    "trace-two-class": (
+        "trace",
+        "gamma = 0.01\ndelta = 0.002\ni_star = 0.3\nepsilon = 0.2\n"
+        "i_star2 = 0.7\nepsilon2 = 0.3\nsplit = 0.4\nruns = 5\ngrid_dt = 60\n"
+        "protected_nodes = 3\nseed = 3\n",
+    ),
+}
 PINNED_SHA256 = {
     ("simulate", "run.csv"): (
         "4da52e74920196b0b3cdbe4bb249bdb47cdfda24cd634186e004b723483eda38"
@@ -610,16 +638,20 @@ PINNED_SHA256 = {
     ("trace", "trace_avg.csv"): (
         "fce211144a5843256ff7981339b4bbcbf56145a2aac33085eeb7a099aa6c59bf"
     ),
+    ("trace-two-class", "trace_avg.csv"): (
+        "d3c727ee4cb52c66c911097b8bc86ae9650ef9003bdf0926cf11ffbb169d0264"
+    ),
 }
 
 
-@pytest.mark.parametrize("command, name", sorted(PINNED_SHA256))
-def test_stochastic_outputs_match_pinned_digests(tmp_path, command, name):
+@pytest.mark.parametrize("run_name, name", sorted(PINNED_SHA256))
+def test_stochastic_outputs_match_pinned_digests(tmp_path, run_name, name):
+    command, cfg = PINNED_RUNS[run_name]
     extra = (str(FIXTURE),) if command == "trace" else ()
-    code, out = run(tmp_path, command, CONFIGS[command], *extra)
+    code, out = run(tmp_path, command, cfg, *extra)
     assert code == 0
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    assert digest == PINNED_SHA256[(command, name)]
+    assert digest == PINNED_SHA256[(run_name, name)]
 
 
 # SHA-256 of the deterministic integrator's outputs.  `integrate` and
@@ -698,6 +730,24 @@ def test_a_run_of_full_clock_blocks_keeps_its_stream(tmp_path):
     assert code == 0
     digest = hashlib.sha256((out / "run.csv").read_bytes()).hexdigest()
     assert digest == "54dd4f24a59bbd0eecc8fd83414e695f1bb46bdddfc810f39e1f8485844692b1"
+
+
+# ----------------------------------------------------------------- CSV rows
+
+CELLS = st.one_of(
+    st.floats(),  # nan, +-inf and subnormals included
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310]),
+    st.floats(1e16, 1e17),
+    st.floats(-1e17, -1e16),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(["sliding", "t_max"]),
+)
+
+
+@given(row=st.lists(CELLS, min_size=1, max_size=8))
+def test_row_format_writes_what_format_value_writes(row):
+    want = ",".join(format_value(cell) for cell in row)
+    assert _row_format(row) % tuple(row) == want
 
 
 # --------------------------------------------------------------------- seeds

@@ -24,7 +24,7 @@ from epiresponse.model import (
     TabulatedResponse,
     compile_response,
 )
-from epiresponse.sampling import MOVES, clock_events, counts_on_grid
+from epiresponse.sampling import MOVES, clock_blocks, counts_on_grid
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)
 
@@ -290,7 +290,7 @@ def test_convergence_study_validates_inputs():
 
 
 def plain_uniformized_run(params, spec, pop0, t_max, seed):
-    """Every clock event of `sampling.clock_events` through the per-event
+    """Every clock event of `sampling.clock_blocks` through the per-event
     tests, none dropped in advance: the jump logs by move, and the number
     of clock events."""
     resp = compile_response(spec)
@@ -299,7 +299,12 @@ def plain_uniformized_run(params, spec, pop0, t_max, seed):
     total = params.beta + params.gamma + params.delta
     p_meet, p_meet_update = params.beta / total, (params.beta + params.gamma) / total
     logs, events = [[], [], [], []], 0
-    for te, u1, u2, u3 in clock_events(seed, n * total, t_max):
+    rows = (
+        (te, *u)
+        for times, uu in clock_blocks(seed, n * total, t_max)
+        for te, u in zip(times.tolist(), uu.tolist())
+    )
+    for te, u1, u2, u3 in rows:
         events += 1
         init = u2 * n
         if u1 < p_meet:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from epiresponse.model import ClassSpec, StepResponse
 from epiresponse.sampling import (
     MAX_GRID_POINTS,
-    clock_events,
+    clock_blocks,
     counts_on_grid,
     uniform_grid,
 )
@@ -127,11 +127,19 @@ def test_trace_row_on_a_contact_time_shows_the_infection():
 # ------------------------------------------------------------------- clock
 
 
+def clock_rows(seed, rate, t_end):
+    """The events of `clock_blocks` as ``(t, u1, u2, u3)`` rows, in order."""
+    return [
+        (t, *u) for times, uu in clock_blocks(seed, rate, t_end)
+        for t, u in zip(times.tolist(), uu.tolist())
+    ]
+
+
 @pytest.mark.parametrize("rate, t_end", [(3.0, 5.0), (0.01, 2.0), (1e5, 1.5)])
 def test_clock_events_are_sorted_within_the_span(rate, t_end):
     # the last case expects 150,000 events: three blocks of 65,536
     count, prev = 0, 0.0
-    for t, *uu in clock_events((4, 2), rate, t_end):
+    for t, *uu in clock_rows((4, 2), rate, t_end):
         assert prev <= t <= t_end
         assert all(0.0 <= u < 1.0 for u in uu)
         count, prev = count + 1, t
@@ -144,10 +152,10 @@ def test_clock_events_at_rate_zero_draw_nothing(monkeypatch):
         raise AssertionError("a generator was made")
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
-    assert list(clock_events(1, 0.0, 10.0)) == []
+    assert list(clock_blocks(1, 0.0, 10.0)) == []
 
 
 def test_clock_events_repeat_for_a_seed():
-    a = list(clock_events((7, 0), 40.0, 3.0))
-    assert a == list(clock_events((7, 0), 40.0, 3.0))
-    assert a != list(clock_events((7, 1), 40.0, 3.0))
+    a = clock_rows((7, 0), 40.0, 3.0)
+    assert a == clock_rows((7, 0), 40.0, 3.0)
+    assert a != clock_rows((7, 1), 40.0, 3.0)

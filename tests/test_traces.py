@@ -1,13 +1,24 @@
+import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epiresponse
-from epiresponse.model import ClassSpec, SigmoidResponse, StepResponse
+from epiresponse.model import (
+    ClassSpec,
+    ConstantResponse,
+    SigmoidResponse,
+    StepResponse,
+    TabulatedResponse,
+    compile_response,
+)
+from epiresponse.sampling import clock_blocks
 from epiresponse.traces import (
     Contact,
     ContactTrace,
@@ -16,6 +27,7 @@ from epiresponse.traces import (
     TraceExperiment,
     make_complete_mixing_trace,
     parse_trace,
+    response_table,
     run_trace_experiment,
 )
 
@@ -237,6 +249,137 @@ def test_random_traces_match_reachability_oracle():
         )
         res = run_trace_experiment(trace, exp, seed=1)
         assert res.final_infected(0) == reachable(trace, seeds)
+
+
+# ------------------------------------------------------- response tables
+
+
+@pytest.mark.parametrize(
+    "spec, n, on",
+    [
+        (StepResponse(0.25), 20, 0.25),  # k = 5 lands on the threshold
+        (SigmoidResponse(0.5, 0.2), 20, 0.4),  # on the ramp's lower end
+        (TabulatedResponse((0.0, 0.2, 0.25, 1.0), (0.0, 0.0, 1.0, 1.0),
+                           (1.0, 1.0, 0.0, 0.0)), 20, 0.2),  # on a knot
+        (ConstantResponse(0.3, 0.6), 41, 0.0),
+        (SigmoidResponse(0.1, 0.001), 41, 0.0),
+    ],
+)
+def test_response_table_holds_the_compiled_response_at_every_count(spec, n, on):
+    p_sp, p_ps = response_table(spec, n)
+    resp, inv_n = compile_response(spec), 1.0 / n
+    assert len(p_sp) == len(p_ps) == n + 1
+    for k in range(n + 1):
+        assert (p_sp[k], p_ps[k]) == resp(k * inv_n)
+    assert on in [k * inv_n for k in range(n + 1)]
+    if isinstance(spec, StepResponse):
+        k = round(on * n)
+        assert (p_sp[k], p_ps[k]) == (0.0, 1.0)  # the canonical selection
+
+
+# ------------------------------------------- against the plain per-event replay
+
+
+CODES = {"S": 0, "I": 1, "P": 2}
+
+
+def plain_replay(trace, exp, seed, run):
+    """Run ``run`` of ``exp`` event by event: every row of
+    `sampling.clock_blocks`, after the contacts that start at or before
+    it, with the class response called at the event.  Returns the final
+    states (0=S, 1=I, 2=P) and every transition as (time, agent, state)."""
+    nodes = list(trace.node_ids)
+    n, inv_n = len(nodes), 1.0 / len(nodes)
+    index = {nid: j for j, nid in enumerate(nodes)}
+    state = [CODES[exp.initial[nid]] for nid in nodes]
+    assign = exp.class_assignment or {}
+    resp = [compile_response(exp.classes[assign.get(nid, 0)].response) for nid in nodes]
+    rate = exp.gamma + exp.delta
+    p_update = exp.gamma / rate if rate > 0.0 else 0.0
+    contacts = [(c.t_start, index[c.a], index[c.b]) for c in trace.contacts]
+    rows = [
+        (t, *u)
+        for times, uu in clock_blocks((seed, run), n * rate, trace.duration)
+        for t, u in zip(times.tolist(), uu.tolist())
+    ]
+    moves, ci = [], 0
+    for tk, u_type, u_agent, u_act in rows + [(math.inf, 0.0, 0.0, 0.0)]:
+        while ci < len(contacts) and contacts[ci][0] <= tk:
+            t, a, b = contacts[ci]
+            if sorted((state[a], state[b])) == [0, 1]:
+                j = a if state[a] == 0 else b
+                state[j] = 1
+                moves.append((t, j, 1))
+            ci += 1
+        if tk == math.inf:
+            break
+        j = int(u_agent * n)
+        p_sp, p_ps = resp[j](state.count(1) * inv_n)
+        if u_type >= p_update:
+            new = 2 if state[j] == 1 else state[j]
+        elif state[j] == 0:
+            new = 2 if u_act < p_sp else 0
+        else:
+            new = 0 if state[j] == 2 and u_act < p_ps else state[j]
+        if new != state[j]:
+            state[j] = new
+            moves.append((tk, j, new))
+    return state, moves
+
+
+@st.composite
+def replays(draw):
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    # shared start times make contacts tie with each other
+    start = st.sampled_from([0.0, 10.0, 60.0, 61.5]) | st.floats(0.0, 120.0)
+    contacts = draw(st.lists(st.tuples(pair, start), min_size=1, max_size=30))
+    trace = ContactTrace.from_contacts([(a, b, t, t) for (a, b), t in contacts])
+    ids = trace.node_ids
+    rate = st.sampled_from([0.0, 0.02]) | st.floats(0.0, 0.5)
+    response = st.sampled_from([0.2, 0.25, 0.5, 1.0]) | st.floats(0.01, 1.0)
+    classes = [ClassSpec(1.0, StepResponse(draw(response)))]
+    assignment = None
+    if len(ids) > 2 and draw(st.booleans()):
+        classes.append(ClassSpec(1.0, SigmoidResponse(draw(response), 0.3)))
+        inner = [draw(st.integers(0, 1)) for _ in ids[1:-1]]
+        assignment = dict(zip(ids, [0, *inner, 1]))
+    exp = TraceExperiment(
+        gamma=draw(rate),
+        delta=draw(rate),
+        classes=tuple(classes),
+        initial={nid: draw(st.sampled_from("SIP")) for nid in ids},
+        class_assignment=assignment,
+        runs=draw(st.integers(1, 2)),
+        transient_cut=0.0,
+        grid_dt=7.0,
+    )
+    return trace, exp, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replays())
+def test_replay_matches_the_plain_per_event_replay(case):
+    """Same stream, same transitions: the final states match exactly, and
+    so do the run-averaged fractions up to the order of summation."""
+    trace, exp, seed = case
+    res = run_trace_experiment(trace, exp, seed)
+    n = trace.n_nodes
+    for run in range(exp.runs):
+        state, moves = plain_replay(trace, exp, seed, run)
+        assert res.final_states[run].tolist() == state
+        current = [CODES[exp.initial[nid]] for nid in trace.node_ids]
+        move_times, done, counts = [m[0] for m in moves], 0, []
+        for t in res.times:
+            stop = bisect_right(move_times, t)
+            for _, j, new in moves[done:stop]:
+                current[j] = new
+            done = stop
+            counts.append([current.count(s) for s in range(3)])
+        want = np.mean(np.array(counts) / n, axis=0)
+        np.testing.assert_allclose(res.per_run_avg[run, 0], want, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------- full dynamics
