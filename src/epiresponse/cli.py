@@ -38,7 +38,6 @@ from .equilibria import (
     EquilibriumKind,
     HypothesisViolated,
     NoDecisionPressure,
-    NoRootError,
     equilibrium_infection_vs_gamma,
     find_equilibria,
     stability_sliding,
@@ -481,7 +480,6 @@ _COMMANDS = {
 _RUNTIME_ERRORS = (
     ParseError,
     EmptyTraceError,
-    NoRootError,
     NoDecisionPressure,
     HypothesisViolated,
     StepBudgetError,

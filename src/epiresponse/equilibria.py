@@ -10,6 +10,10 @@ Three kinds of equilibria occur:
   i_star) on the discontinuity line, stationary in the set-valued sense
   (0 lies in the field segment).
 
+All three come from one exact solve on the response's linear pieces
+(`find_equilibria`): on the piece that holds it, the endemic balance g
+is a quadratic in i, and X2 is g's sign change across a step's jump.
+
 Smooth equilibria are classified through the 2x2 Jacobian; the sliding
 point through the one-sided quantities A+/A- of the locally transformed
 system (x = delta/beta - s, y = i - i_star), whose sign combination
@@ -31,6 +35,7 @@ from .model import (
     StepResponse,
     compile_field,
     eval_response_selected,
+    response_pieces,
     response_slopes,
 )
 
@@ -39,7 +44,6 @@ __all__ = [
     "Equilibrium",
     "Verdict",
     "StabilityReport",
-    "NoRootError",
     "NoDecisionPressure",
     "HypothesisViolated",
     "SlidingNormalForm",
@@ -47,7 +51,6 @@ __all__ = [
     "find_equilibria",
     "find_equilibria_step",
     "find_equilibria_continuous",
-    "endemic_root",
     "g_function",
     "jacobian",
     "stability_smooth",
@@ -56,8 +59,6 @@ __all__ = [
     "equilibrium_infection_vs_gamma",
 ]
 
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
 BOUNDARY_EPS = 1e-10
 
 
@@ -109,10 +110,6 @@ class StabilityReport:
     a_minus: float | None = None
 
 
-class NoRootError(ValueError):
-    """The endemic equation g(i) = 0 has no root: g(0) < 0."""
-
-
 class NoDecisionPressure(ValueError):
     """p_sp(0) = p_ps(0) = 0: the disease-free state is not isolated."""
 
@@ -138,43 +135,83 @@ def _folds_into_x0(s0: float, s_eq: float) -> bool:
     return s0 - s_eq <= 2.0**-52 * s0
 
 
-def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium]:
-    """All admissible stationary points for a step response with threshold ``i_star``.
+def find_equilibria(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:
+    """All admissible stationary points, solved exactly on `response_pieces`.
 
-    X0 = (1, 0) always.  For delta < beta let I1 = gamma*(1 - delta/beta) /
-    (gamma + delta): X1 = (delta/beta, I1) is admissible iff I1 < i_star
-    (strictly), and X2 = (delta/beta, i_star) iff i_star <= I1.  The two
-    conditions partition delta < beta; at equality only X2 is reported,
-    flagged ``boundary`` (X1 and X2 coincide there).  At delta == beta (up
-    to round-off) X1 collapses onto X0, and at gamma == 0 the whole line
-    i = 0 is stationary; both leave X0 alone, flagged ``degenerate``.
+    X0 = (s0, 0), s0 = p_ps(0)/(p_sp(0) + p_ps(0)).  A second point exists
+    iff delta <= beta*s0; within one rounding of equality, or at gamma == 0
+    (the line i = 0 is then stationary), it folds into X0, flagged
+    ``degenerate``.  Otherwise g (`g_function`) falls from g(0) > 0 with one
+    sign change.  On the piece whose knot values hold it, with q = delta/beta
+    and m = 1 - q, g(x0 + u) = A*u^2 + B*u + g(x0) with A = -gamma*d and
+    B = gamma*((m - x0)*d - ps0) - delta - gamma*q*b, whose root
+    u = 2*g(x0)/(-B + sqrt(B^2 - 4*A*g(x0))), kept on the piece, gives the
+    endemic X1 = (q, I1); on a sloped piece all three are divided by gamma.
+    For a step, I1 = gamma*m/(gamma + delta) on the lower piece: X1 is
+    admissible iff I1 < i_star, else g changes sign across the jump and
+    X2 = (q, i_star) is listed, flagged ``boundary`` when I1 == i_star.
     """
-    if not (0.0 < i_star <= 1.0):
-        raise ValueError(f"i_star must lie in (0, 1], got {i_star}")
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    s_eq = delta / beta
-    degenerate = gamma == 0.0 or (delta <= beta and _folds_into_x0(1.0, s_eq))
-    out = [Equilibrium(EquilibriumKind.DISEASE_FREE, State(1.0, 0.0), degenerate=degenerate)]
-    if delta >= beta or degenerate:
-        return out
-    i1 = _endemic_i_step(beta, gamma, delta)
-    if i1 < i_star:
-        out.append(Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1)))
-    else:
-        # i_star <= i1 < 1 - delta/beta makes the denominator positive, but
-        # i1 rounds to 1 - delta/beta when delta << gamma; there (and on
-        # underflow) aux takes its value on the boundary i_star = i1, 1.
-        den = gamma * (1.0 - s_eq - i_star)
-        aux = delta * i_star / den if den > 0.0 else 1.0
-        out.append(
-            Equilibrium(
-                EquilibriumKind.SLIDING,
-                State(s_eq, i_star),
-                aux=aux,
-                boundary=(i_star == i1),
-            )
+    p_sp0, p_ps0 = eval_response_selected(spec, 0.0)
+    if p_sp0 + p_ps0 == 0.0:
+        raise NoDecisionPressure(
+            f"response exerts no decision pressure at i=0 (p_sp = {p_sp0!r}, "
+            f"p_ps = {p_ps0!r} at i = 0); the disease-free state is not isolated"
         )
-    return out
+    s0 = p_ps0 / (p_sp0 + p_ps0)
+    q = delta / beta
+    m = 1.0 - q
+    exists = delta <= beta * s0
+    degenerate = gamma == 0.0 or (exists and _folds_into_x0(s0, q))
+    out = [Equilibrium(EquilibriumKind.DISEASE_FREE, State(s0, 0.0), degenerate=degenerate)]
+    if degenerate or not exists:
+        return out
+
+    # g falls from g(0) > 0: its root lies on the last piece that starts with
+    # g > 0.  The test reads g/gamma, in which only delta/gamma moves with
+    # gamma, so the piece never moves left as gamma grows.
+    pieces = response_pieces(spec)
+    k = 0
+    for x, _, sp, _, ps, _ in pieces[1:]:
+        if not (m - x) * ps - q * sp - delta * x / gamma > 0.0:
+            break
+        k += 1
+    x0, x1, sp0, b, ps0, d = pieces[k]
+    if b == 0.0 and d == 0.0:
+        # g is linear, and its root -g(x0)/B is for a step exactly the
+        # closed form gamma*m/(gamma + delta)
+        c0 = gamma * (m - x0) * ps0 - gamma * q * sp0 - delta * x0
+        u = c0 / (delta + gamma * ps0)
+    else:
+        # -B/gamma; each operation is monotone in delta/gamma, so the root
+        # never falls as gamma grows, and no slope is multiplied by gamma
+        neg_b = delta / gamma + ps0 + q * b - (m - x0) * d
+        u = ((m - x0) * ps0 - q * sp0 - delta * x0 / gamma) / neg_b
+        # max(0.0, NaN) is 0.0, where an infinite slope meets u = 0
+        u = 2.0 * u / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * (-d * u / neg_b))))
+    root = x0 + u
+    if root < x1 or not isinstance(spec, StepResponse):
+        return out + [Equilibrium(EquilibriumKind.ENDEMIC, State(q, min(max(root, x0), x1)))]
+    # i_star <= root < 1 - q makes the denominator positive, but the root
+    # rounds to 1 - q when delta << gamma; there (and on underflow) aux
+    # takes its value on the boundary i_star = root, 1.
+    den = gamma * (1.0 - q - x1)
+    aux = delta * x1 / den if den > 0.0 else 1.0
+    return out + [
+        Equilibrium(EquilibriumKind.SLIDING, State(q, x1), aux=aux, boundary=(root == x1))
+    ]
+
+
+def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium]:
+    """`find_equilibria` for ``StepResponse(i_star)``."""
+    return find_equilibria(params, StepResponse(i_star))
+
+
+def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:
+    """`find_equilibria` for a single-valued (continuous) response."""
+    if not isinstance(spec, CONTINUOUS_RESPONSES):
+        raise TypeError(f"continuous response required, got {spec!r}")
+    return find_equilibria(params, spec)
 
 
 def g_function(params: ModelParams, spec: ResponseSpec, i: float) -> float:
@@ -184,76 +221,12 @@ def g_function(params: ModelParams, spec: ResponseSpec, i: float) -> float:
         g(i) = -delta*i - (gamma*delta/beta)*p_sp(i)
                + gamma*(1 - delta/beta - i)*p_ps(i)
 
-    g(1) < 0 for all positive rates; when g(0) >= 0 monotonicity yields a
-    unique root in [0, 1 - delta/beta].
+    g(1) < 0 for all positive rates; g is strictly decreasing on
+    [0, 1 - delta/beta] and negative beyond, so when g(0) >= 0 it has one
+    root, which `find_equilibria` solves for on the response piece that
+    holds it.
     """
     return compile_field(params, spec)(params.delta / params.beta, i)[0]
-
-
-def endemic_root(params: ModelParams, spec: ResponseSpec) -> float:
-    """Root of g on [0, 1] by bisection (absolute tolerance 1e-12).
-
-    Raises `NoRootError` when g(0) < 0 (the endemic point does not exist).
-    """
-    rhs = compile_field(params, spec)
-    s_eq = params.delta / params.beta
-    g0 = rhs(s_eq, 0.0)[0]
-    if g0 < 0.0:
-        raise NoRootError(
-            f"g(0) = {g0} < 0: no endemic equilibrium for these parameters"
-        )
-    return 0.0 if g0 == 0.0 else _bisect_g(rhs, s_eq)
-
-
-def _bisect_g(rhs, s_eq: float) -> float:
-    """Root of g(i) = rhs(s_eq, i)[0] on [0, 1], given g(0) > 0."""
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if rhs(s_eq, mid)[0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:
-    """Stationary points for a single-valued (continuous) response.
-
-    X0 = (p_ps(0)/(p_sp(0) + p_ps(0)), 0); the endemic point
-    X1 = (delta/beta, I1) with g(I1) = 0 exists iff delta/beta <=
-    p_ps(0)/(p_sp(0) + p_ps(0)) — equivalently g(0) >= 0 — and is located
-    by bisection.  At equality (up to round-off) X1 coincides with X0
-    (single equilibrium, flagged ``degenerate``).
-    """
-    if not isinstance(spec, CONTINUOUS_RESPONSES):
-        raise TypeError(f"continuous response required, got {spec!r}")
-    p_sp0, p_ps0 = eval_response_selected(spec, 0.0)
-    denom = p_sp0 + p_ps0
-    if denom == 0.0:
-        raise NoDecisionPressure(
-            f"response exerts no decision pressure at i=0 (p_sp = {p_sp0!r}, "
-            f"p_ps = {p_ps0!r} at i = 0); the disease-free state is not isolated"
-        )
-    s0 = p_ps0 / denom
-    rhs = compile_field(params, spec)
-    s_eq = params.delta / params.beta
-    g0 = rhs(s_eq, 0.0)[0]
-    degenerate = g0 == 0.0 or (g0 > 0.0 and _folds_into_x0(s0, s_eq))
-    x0 = Equilibrium(EquilibriumKind.DISEASE_FREE, State(s0, 0.0), degenerate=degenerate)
-    if g0 < 0.0 or degenerate:
-        return [x0]
-    i1 = _bisect_g(rhs, s_eq)
-    return [x0, Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1))]
-
-
-def find_equilibria(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:
-    """Dispatch on the response variant."""
-    if isinstance(spec, StepResponse):
-        return find_equilibria_step(params, spec.i_star)
-    return find_equilibria_continuous(params, spec)
 
 
 def jacobian(params: ModelParams, spec: ResponseSpec, x: State) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -398,7 +371,7 @@ def stability_sliding(params: ModelParams, i_star: float) -> StabilityReport:
     point is asymptotically stable iff A+ - A- < 0, given P-(0,0) < 0 <
     P+(0,0); where either is 0 (X1 = X2, or underflow) the verdict is
     BOUNDARY, without A+-.  `HypothesisViolated` means that
-    `find_equilibria_step` lists no X2 to classify.
+    `find_equilibria` lists no X2 to classify.
     """
     last = find_equilibria_step(params, i_star)[-1]
     if last.kind is not EquilibriumKind.SLIDING:

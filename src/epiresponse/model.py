@@ -39,6 +39,7 @@ __all__ = [
     "eval_response_selected",
     "compile_response",
     "compile_field",
+    "response_pieces",
     "response_slopes",
     "field",
 ]
@@ -337,32 +338,61 @@ def _one_sided(params: ModelParams):
     return above, below
 
 
-def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
-    """Derivatives (dp_sp/di, dp_ps/di) with the right-slope convention at kinks.
+def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float, float, float]]:
+    """The linear pieces ``(x0, x1, sp0, b, ps0, d)`` of ``spec`` that cover
+    [0, 1], in order: p_sp = sp0 + b*(i - x0), p_ps = ps0 + d*(i - x0) on
+    [x0, x1].
 
-    Step responses report slope 0 away from the threshold (the response is
-    locally constant); the threshold itself has no meaningful slope and also
-    reports 0.
+    Adjacent pieces share a bound; zero-width ones may sit at 0 or 1.  A step
+    is (0, 1) below i_star and (1, 0) above.  A sigmoid ramp starts at the
+    ``lo`` of `compile_response`; a ramp or tabulated response holds its
+    end values outside, clipped to [0, 1].  The first piece starts with
+    the values `compile_response` gives at 0.
     """
-    if isinstance(spec, (StepResponse, ConstantResponse)):
-        return 0.0, 0.0
+    if isinstance(spec, StepResponse):
+        return [(0.0, spec.i_star, 0.0, 0.0, 1.0, 0.0), (spec.i_star, 1.0, 1.0, 0.0, 0.0, 0.0)]
+    if isinstance(spec, ConstantResponse):
+        return [(0.0, 1.0, spec.p_sp, 0.0, spec.p_ps, 0.0)]
+    # rows (x, sp, b, ps, d): the response from x up to the next row's x
     if isinstance(spec, SigmoidResponse):
         half = 0.5 * spec.epsilon
-        if spec.i_star - half <= i < spec.i_star + half:
-            rate = 1.0 / spec.epsilon
-            return rate, -rate
-        return 0.0, 0.0
-    if isinstance(spec, TabulatedResponse):
-        knots = spec.knots
-        if i < knots[0] or i >= knots[-1]:
-            return 0.0, 0.0
-        k = bisect_right(knots, i) - 1
-        dk = knots[k + 1] - knots[k]
-        return (
-            (spec.p_sp[k + 1] - spec.p_sp[k]) / dk,
-            (spec.p_ps[k + 1] - spec.p_ps[k]) / dk,
-        )
-    raise TypeError(f"unknown response spec: {spec!r}")
+        rate = 1.0 / spec.epsilon
+        rows = [
+            (0.0, 0.0, 0.0, 1.0, 0.0),
+            (spec.i_star - half, 0.0, rate, 1.0, -rate),
+            (spec.i_star + half, 1.0, 0.0, 0.0, 0.0),
+        ]
+    elif isinstance(spec, TabulatedResponse):
+        xs, sp, ps = spec.knots, spec.p_sp, spec.p_ps
+        rows = [(0.0, sp[0], 0.0, ps[0], 0.0)]
+        for j in range(len(xs) - 1):
+            w = xs[j + 1] - xs[j]
+            rows.append((xs[j], sp[j], (sp[j + 1] - sp[j]) / w, ps[j], (ps[j + 1] - ps[j]) / w))
+        rows.append((xs[-1], sp[-1], 0.0, ps[-1], 0.0))
+    else:
+        raise TypeError(f"unknown response spec: {spec!r}")
+    pieces = []
+    for (x, sp0, b, ps0, d), (end, *_) in zip(rows, rows[1:] + [(1.0,)]):
+        x0, x1 = max(x, 0.0), min(end, 1.0)
+        if x1 < x0:
+            continue
+        if x0 != x:  # a piece that starts below 0 starts at the response at 0
+            sp0, ps0 = compile_response(spec)(x0)
+        pieces.append((x0, x1, sp0, b, ps0, d))
+    return pieces
+
+
+def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
+    """Derivatives (dp_sp/di, dp_ps/di): the slopes b, d of the
+    `response_pieces` piece that holds ``i``, the last one starting at or
+    below it.
+
+    That is the right-slope convention at kinks; a step response reports 0
+    everywhere, its threshold included.
+    """
+    pieces = response_pieces(spec)
+    _, _, _, b, _, d = pieces[max(bisect_right([p[0] for p in pieces], i) - 1, 0)]
+    return b, d
 
 
 def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:

@@ -102,7 +102,7 @@ def test_equilibria_gamma_zero_step_is_degenerate(tmp_path, capsys):
         ),
         (
             "beta = 1e308\ngamma = 1e308\ndelta = 1e-300\n"
-            "kind = sigmoid\ni_star = 0.5\nepsilon = 0.1\n",
+            "kind = tabulated\nknots = 0.9,0.95\np_sp_values = 0,1\np_ps_values = 1,0\n",
             "the endemic point's eigenvalues = [[-inf, 0.0], [-1e-300, 0.0]] is not finite",
         ),
     ],

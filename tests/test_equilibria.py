@@ -1,20 +1,19 @@
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from epiresponse.equilibria import (
-    BISECT_TOL,
     BOUNDARY_EPS,
     Equilibrium,
     EquilibriumKind,
     HypothesisViolated,
-    NoRootError,
     StabilityReport,
     Verdict,
-    endemic_root,
     equilibrium_infection_vs_gamma,
     find_equilibria,
     find_equilibria_continuous,
@@ -35,6 +34,7 @@ from epiresponse.model import (
     compile_response,
     eval_response_selected,
     field,
+    response_pieces,
     response_slopes,
 )
 
@@ -144,6 +144,71 @@ def test_dispatcher_routes_by_response_kind():
     assert smooth == find_equilibria_continuous(p, SigmoidResponse(0.5, 0.1))
 
 
+def _reference_step(params, i_star):
+    """The closed-form step solver that `find_equilibria` replaced: the
+    reference its step outputs must equal bit for bit."""
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    s_eq = delta / beta
+    degenerate = gamma == 0.0 or (delta <= beta and 1.0 - s_eq <= 2.0**-52)
+    out = [Equilibrium(EquilibriumKind.DISEASE_FREE, State(1.0, 0.0), degenerate=degenerate)]
+    if delta >= beta or degenerate:
+        return out
+    i1 = gamma * (1.0 - delta / beta) / (gamma + delta)
+    if i1 < i_star:
+        out.append(Equilibrium(EquilibriumKind.ENDEMIC, State(s_eq, i1)))
+    else:
+        den = gamma * (1.0 - s_eq - i_star)
+        aux = delta * i_star / den if den > 0.0 else 1.0
+        out.append(
+            Equilibrium(
+                EquilibriumKind.SLIDING,
+                State(s_eq, i_star),
+                aux=aux,
+                boundary=(i_star == i1),
+            )
+        )
+    return out
+
+
+def _bits(eqs):
+    """Every float of a list of equilibria, as hex: == lets 0.0 equal -0.0."""
+    return [
+        (eq.point.s.hex(), eq.point.i.hex(), None if eq.aux is None else eq.aux.hex())
+        for eq in eqs
+    ]
+
+
+@st.composite
+def step_cases(draw):
+    """Rates and a threshold, drawn onto the ties the step rules turn on:
+    delta == beta, delta = beta*(1 +- 2^-52), delta > beta, gamma == 0,
+    subnormal gamma, i_star == I1 exactly and i_star = 1."""
+    wide = st.floats(1e-300, 1e300)
+    beta = draw(rates | wide)
+    gamma = draw(rates | wide | st.just(0.0) | st.floats(0.0, 1e-300))
+    delta = draw(
+        rates
+        | wide
+        | st.sampled_from([beta, beta * (1.0 + 2.0**-52), beta * (1.0 - 2.0**-52)])
+        | rates.map(lambda f: beta * (1.0 + f))
+    )
+    assume(delta > 0.0)
+    i1 = gamma * (1.0 - delta / beta) / (gamma + delta)
+    i_star = draw(st.floats(1e-3, 1.0) | st.sampled_from([1.0, i1]))
+    assume(0.0 < i_star <= 1.0)
+    return ModelParams(beta, gamma, delta), i_star
+
+
+@settings(max_examples=300)
+@given(step_cases())
+def test_step_equilibria_equal_the_closed_form_reference(case):
+    params, i_star = case
+    got = find_equilibria(params, StepResponse(i_star))
+    want = _reference_step(params, i_star)
+    assert got == want
+    assert _bits(got) == _bits(want)
+
+
 # -------------------------------------------------- continuous responses
 
 
@@ -165,30 +230,28 @@ def test_bisection_against_linear_closed_form():
     expected = (gamma * p_ps * (1.0 - delta / beta) - gamma * delta / beta * p_sp) / (
         delta + gamma * p_ps
     )
-    root = endemic_root(p, spec)
-    assert root == pytest.approx(expected, abs=1e-11)
-    assert abs(g_function(p, spec, root)) < 1e-11
-    eqs = find_equilibria_continuous(p, spec)
-    assert eqs[1].point.i == pytest.approx(expected, abs=1e-11)
-    assert eqs[1].point.s == pytest.approx(delta / beta)
+    x1 = find_equilibria(p, spec)[-1]
+    assert x1.kind is EquilibriumKind.ENDEMIC
+    assert x1.point.i == pytest.approx(expected, abs=1e-15)
+    assert abs(g_function(p, spec, x1.point.i)) < 1e-15
+    assert x1.point.s == delta / beta
 
 
 def test_no_root_when_protection_dominates_at_zero():
     spec = ConstantResponse(p_sp=1.0, p_ps=0.01)
     p = ModelParams(1.0, 1.0, 0.5)
     assert g_function(p, spec, 0.0) < 0.0
-    with pytest.raises(NoRootError):
-        endemic_root(p, spec)
-    eqs = find_equilibria_continuous(p, spec)
-    assert kinds(eqs) == [EquilibriumKind.DISEASE_FREE]
+    (x0,) = find_equilibria_continuous(p, spec)
+    assert x0.kind is EquilibriumKind.DISEASE_FREE
+    assert not x0.degenerate
 
 
 @pytest.mark.parametrize(
     "spec", [SigmoidResponse(0.5, 0.125), ConstantResponse(0.0, 1.0)]
 )
-def test_endemic_root_within_round_off_of_x0_folds_into_it(spec):
+def test_endemic_point_within_round_off_of_x0_folds_into_it(spec):
     # s0 = 1 and delta/beta = 1 - 2^-53: g(0) > 0 by one rounding, and
-    # the root would sit at i ~ 1e-13, on X0 up to the bisection tolerance
+    # the root would sit at i ~ 1e-16, on X0 up to round-off
     p = ModelParams(beta=1.0, gamma=1.0, delta=0.9999999999999999)
     assert g_function(p, spec, 0.0) > 0.0
     (x0,) = find_equilibria_continuous(p, spec)
@@ -218,6 +281,85 @@ def test_continuous_rejects_step():
         find_equilibria_continuous(ModelParams(1.0, 1.0, 0.5), StepResponse(0.3))
 
 
+@st.composite
+def narrow_responses(draw):
+    """A sigmoid, tabulated or constant response with decision pressure at
+    i = 0, whose pieces may be as narrow as 1e-300."""
+    kind = draw(st.sampled_from(("sigmoid", "tabulated", "constant")))
+    unit = st.floats(0.0, 1.0)
+    tiny = st.floats(1e-300, 1e-250)
+    if kind == "constant":
+        p_sp, p_ps = draw(unit), draw(unit)
+        assume(p_sp + p_ps > 0.0)
+        return ConstantResponse(p_sp, p_ps)
+    if kind == "sigmoid":
+        return SigmoidResponse(draw(st.floats(1e-3, 1.0) | tiny), draw(st.floats(1e-3, 1.0) | tiny))
+    knots = sorted(draw(st.lists(unit | tiny, min_size=2, max_size=6, unique=True)))
+    column = st.lists(unit, min_size=len(knots), max_size=len(knots))
+    p_sp, p_ps = sorted(draw(column)), sorted(draw(column), reverse=True)
+    assume(p_sp[0] + p_ps[0] > 0.0)
+    return TabulatedResponse(tuple(knots), tuple(p_sp), tuple(p_ps))
+
+
+def _g_monomials(params, piece):
+    """The terms of g(x0 + u) = c0 + B*u + A*u^2 on ``piece``, exact from the
+    floats q = delta/beta and m = 1 - q: (terms of c0, terms of B, A).
+    Only c0 is given for a piece with an infinite slope."""
+    q = params.delta / params.beta
+    gamma, delta, q, m = map(Fraction, (params.gamma, params.delta, q, 1.0 - q))
+    x0, _, sp0, b, ps0, d = piece
+    x0, sp0, ps0 = map(Fraction, (x0, sp0, ps0))
+    c0 = (-delta * x0, -gamma * q * sp0, gamma * (m - x0) * ps0)
+    if not (math.isfinite(b) and math.isfinite(d)):
+        return c0, None, None
+    b, d = Fraction(b), Fraction(d)
+    return c0, (gamma * (m - x0) * d, -gamma * ps0, -delta, -gamma * q * b), -gamma * d
+
+
+@settings(max_examples=300, deadline=None)
+@example(
+    beta=1.0,
+    gamma=1.0,
+    delta=0.5,
+    spec=TabulatedResponse((0.0, 3.48e-136), (0.0, 0.0), (1.0, 0.0)),
+)
+@example(  # the root formula rounds one ulp past the knot: kept on the piece
+    beta=3.1053341706482973,
+    gamma=0.9717191147565911,
+    delta=0.35320464258526835,
+    spec=TabulatedResponse((0.0, 9.89104627573104e-262), (0.0, 0.0), (1.0, 0.0)),
+)
+@given(beta=rates, gamma=rates, delta=rates, spec=narrow_responses())
+def test_endemic_point_is_the_exact_root_on_its_piece(beta, gamma, delta, spec):
+    """X1 lies on the piece where g changes sign (judged from exact values
+    at the piece starts); g vanishes there to 4 ulps of each of its
+    monomials at i = X1, plus its change over one ulp of X1; and `brentq`
+    on that piece agrees to 1e-13.  (A piece narrower than about 1e-308
+    has an infinite slope; X1 then only has to lie on it.)"""
+    p = ModelParams(beta, gamma, delta)
+    x1 = find_equilibria(p, spec)[-1]
+    assume(x1.kind is EquilibriumKind.ENDEMIC)
+    root = x1.point.i
+    pieces = response_pieces(spec)
+    starts = [sum(_g_monomials(p, piece)[0]) for piece in pieces]
+    k = max(j for j, g in enumerate(starts) if j == 0 or g > 0)
+    lo, hi = pieces[k][:2]
+    assert lo <= root <= hi
+    c0, b, a = _g_monomials(p, pieces[k])
+    if b is None:
+        return
+    u, i = Fraction(root) - Fraction(lo), Fraction(root)
+    monomials = [*c0, *(t * i for t in b), a * i * i]
+    slope = sum(map(abs, b)) + 2 * abs(a) * i
+    tol = 4 * sum(Fraction(math.ulp(float(abs(t)))) for t in monomials)
+    assert abs(sum(c0) + sum(b) * u + a * u * u) <= tol + slope * Fraction(math.ulp(root))
+    g = lambda x: g_function(p, spec, x)
+    if g(lo) > 0.0 > g(hi):
+        assert abs(brentq(g, lo, hi, xtol=1e-15, rtol=4 * 2.0**-52) - root) <= 1e-13
+    else:  # g rounds to 0 at an end, within an ulp of the root
+        assert min(root - lo, hi - root) <= 1e-13
+
+
 @settings(max_examples=60)
 @given(rates, rates, rates, st.floats(0.05, 0.95), st.floats(0.02, 0.5))
 def test_g_strictly_decreasing_where_it_matters(beta, gamma, delta, i_star, eps):
@@ -233,14 +375,35 @@ def test_g_strictly_decreasing_where_it_matters(beta, gamma, delta, i_star, eps)
     assert np.all(diffs < 1e-12)
 
 
-def test_endemic_root_for_sigmoid_lies_in_ramp_or_below():
+def test_endemic_point_for_sigmoid_lies_in_ramp_or_below():
     p = ModelParams(1.0, 1.0, 0.5)
     spec = SigmoidResponse(0.2, 0.05)
-    i1 = endemic_root(p, spec)
+    x1 = find_equilibria(p, spec)[-1]
+    assert x1.kind is EquilibriumKind.ENDEMIC
     # natural level 1/3 exceeds the threshold band, so the root is pinned
     # inside the ramp where protection kicks in
-    assert 0.175 <= i1 <= 0.225
-    assert abs(g_function(p, spec, i1)) < 1e-10
+    assert 0.175 <= x1.point.i <= 0.225
+    assert abs(g_function(p, spec, x1.point.i)) < 1e-15
+
+
+def test_root_on_a_piece_narrower_than_the_old_bisection_tolerance():
+    # p_ps falls from 1 to 0 across [0, 3.48e-136]; g vanishes (to
+    # rounding) on the knot, where a bisection to 1e-12 stopped at 4.5e-13
+    spec = TabulatedResponse((0.0, 3.48e-136), (0.0, 0.0), (1.0, 0.0))
+    x0, x1 = find_equilibria(ModelParams(1.0, 1.0, 0.5), spec)
+    assert x1.kind is EquilibriumKind.ENDEMIC
+    assert x1.point.i == 3.48e-136
+
+
+def test_root_survives_an_overflowing_gamma_times_slope():
+    # gamma*slope = -1e309 overflows, and delta/beta underflows to 0, so
+    # the field on s = delta/beta loses its -delta*i term: g is the
+    # product gamma*(1 - i)*p_ps(i), whose root is the ramp's end 0.55
+    p = ModelParams(beta=1e308, gamma=1e308, delta=1e-300)
+    spec = SigmoidResponse(0.5, 0.1)
+    x1 = find_equilibria(p, spec)[-1]
+    assert x1.kind is EquilibriumKind.ENDEMIC
+    assert x1.point.i == 0.5 + 0.05
 
 
 # -------------------------------------------------------------- stability
@@ -478,11 +641,13 @@ def monotone_responses(draw):
 
 
 def _piece(spec, i):
-    """The index of the linear piece of ``spec`` that holds ``i``."""
-    if isinstance(spec, SigmoidResponse):
-        half = 0.5 * spec.epsilon
-        return bisect_right((spec.i_star - half, spec.i_star + half), i)
-    return bisect_right(spec.knots, i)
+    """The index of the `response_pieces` piece that holds ``i``."""
+    return bisect_right([piece[0] for piece in response_pieces(spec)], i)
+
+
+# Endemic roots lie within 2.5 ulps of 1 of the exact root of g (measured
+# on 5,638 sweep-like models against 200-bit mpmath roots)
+ROOT_ERR = 8 * 2.0**-52
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,7 +663,7 @@ def test_sweep_rises_with_gamma_at_the_closed_form_rate(beta, delta_frac, spec, 
     stays at most i_star, and on the endemic branch, wherever the stencil
     gamma +- h keeps the root on one linear piece of the response (so on
     the same `response_slopes`), a central difference with h = 1e-4*gamma
-    matches the rate below to BISECT_TOL/h plus 1e-6 of the rate:
+    matches the rate below to ROOT_ERR/h plus 1e-6 of the rate:
 
         di/dgamma = k(i)/(delta - gamma*k'(i)) > 0,
         k(i) = (1 - delta/beta - i)*p_ps(i) - (delta/beta)*p_sp(i).
@@ -520,13 +685,11 @@ def test_sweep_rises_with_gamma_at_the_closed_form_rate(beta, delta_frac, spec, 
         h = 1e-4 * gamma
         stencil = equilibrium_infection_vs_gamma(beta, delta, spec, [gamma - h, gamma + h])
         lo, hi = (r.i_eq for r in stencil)
-        # the roots are known to BISECT_TOL: keep the stencils whose true
-        # roots lie on one piece
-        if _piece(spec, lo - BISECT_TOL) != _piece(spec, hi + BISECT_TOL):
+        if _piece(spec, lo) != _piece(spec, hi):
             continue
         p_sp, p_ps = resp(i)
         d_sp, d_ps = response_slopes(spec, i)
         k = (1.0 - s_eq - i) * p_ps - s_eq * p_sp
         dk = -p_ps + (1.0 - s_eq - i) * d_ps - s_eq * d_sp
         rate = k / (delta - gamma * dk)
-        assert abs((hi - lo) / (2.0 * h) - rate) <= BISECT_TOL / h + 1e-6 * abs(rate)
+        assert abs((hi - lo) / (2.0 * h) - rate) <= ROOT_ERR / h + 1e-6 * abs(rate)
