@@ -179,9 +179,14 @@ def find_equilibria(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium
     x0, x1, sp0, b, ps0, d = pieces[k]
     if b == 0.0 and d == 0.0:
         # g is linear, and its root -g(x0)/B is for a step exactly the
-        # closed form gamma*m/(gamma + delta)
+        # closed form gamma*m/(gamma + delta); where that sum overflows,
+        # halving both terms is exact and keeps the quotient
         c0 = gamma * (m - x0) * ps0 - gamma * q * sp0 - delta * x0
-        u = c0 / (delta + gamma * ps0)
+        den = delta + gamma * ps0
+        if den == math.inf:
+            u = (0.5 * c0) / (0.5 * delta + 0.5 * gamma * ps0)
+        else:
+            u = c0 / den
     else:
         # -B/gamma; each operation is monotone in delta/gamma, so the root
         # never falls as gamma grows, and no slope is multiplied by gamma

@@ -1,12 +1,18 @@
 """Adaptive integration of the protection-response dynamics.
 
-The field is smooth except, for step responses, on the line L = {i ==
-i_star}, where it switches between two polynomial branches.  Away from L a
-Dormand-Prince 5(4) pair with a quartic dense-output interpolant advances
-the state; a crossing of L is located on the dense output by bisection,
-becomes an accepted point, and the integration goes on with the other
-side's branch, so each crossing switches sides exactly once.  The solution
-is a scalar pair (s, i) on raw floats rather than arrays, which keeps the
+Every response is piecewise linear in i (`model.response_pieces`), so on
+each piece the field is a fixed quadratic polynomial in (s, i), built once
+(`model._piece_fields`), and the knots between pieces are switching lines
+{i == knot}.  A step response has one knot, L = {i == i_star}, where the
+field jumps; at the kinks of a ramp or a table it is continuous and only
+its derivative jumps.  Inside a piece a Dormand-Prince 5(4) pair with a
+quartic dense-output interpolant advances the state; a crossing of a knot
+is located on the dense output by bisection, becomes an accepted point on
+the knot, and the integration goes on with the next piece's field, so the
+steps never straddle a knot (Hairer, Norsett & Wanner, *Solving ODEs I*,
+section II.6).  Only crossings of a step's L are logged, as CrossUp /
+CrossDown, and only they feed the spiral capture below.  The solution is a
+scalar pair (s, i) on raw floats rather than arrays, which keeps the
 per-step cost low enough to follow the slow spiral into a sliding point.
 
 Every accepted point, a step's end or a crossing, takes one tail and then
@@ -46,8 +52,7 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
-    _one_sided,
-    compile_field,
+    _piece_fields,
     compile_response,
     eval_response_selected,  # noqa: F401 -- bench/tracing.py wraps this name here
     field,
@@ -290,6 +295,37 @@ def _initial_step(rhs, s, i, fs, fi, rel_tol, abs_tol, t_left):
     return min(100 * h0, h1, t_left)
 
 
+def _no_crossing(i, h, q, lo, hi):
+    """True when no probe of a step's dense output of i can leave (lo, hi).
+
+    A probe is ``i + h*u*(q1 + u*(q2 + u*(q3 + u*q4)))`` with ``q = (q1, q2,
+    q3, q4)`` and u in (0, 1].  Rounding is monotone and |fl(u*x)| <= |x|
+    for such u, so every computed probe lies between i - reach and
+    i + reach, with reach = h*(|q1| + (|q2| + (|q3| + |q4|))) summed in
+    Horner's order and the sums with i rounded like the probe's: the bound
+    holds as computed, with no further slack.
+    """
+    q1, q2, q3, q4 = q
+    reach = h * (abs(q1) + (abs(q2) + (abs(q3) + abs(q4))))
+    return lo < i - reach and i + reach < hi
+
+
+def _rest_floor(params: ModelParams, eps: float) -> float:
+    """`equilibrium_eps` plus the rounding by which a piece's field and
+    `model.field` may differ: each sums three terms of size at most beta,
+    gamma and gamma, each rounded a few times."""
+    return eps + 1e-14 * (params.beta + 2.0 * params.gamma)
+
+
+def _restless(fs, fi, i, lo, hi, floor):
+    """True when `settle` cannot grant a rest at a state with i strictly
+    inside its piece (lo, hi) and piece field (fs, fi): the rest test needs
+    `model.field` within `equilibrium_eps` of zero, and there `model.field`
+    is the piece's field up to the rounding that ``floor`` (`_rest_floor`)
+    covers.  A state on a knot, L included, is never restless."""
+    return lo < i < hi and (abs(fs) > floor or abs(fi) > floor)
+
+
 def _clip_to_domain(t, s, i):
     if s < 0.0:
         if s < -DOMAIN_SLACK:
@@ -315,12 +351,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate from ``x0`` until equilibrium or ``cfg.t_max``.
 
-    Step responses get crossing detection on L = {i == i_star}: CrossUp /
-    CrossDown events are bisected to ``event_tol`` and the field switches
-    sides there.  A start exactly on L is resolved by the sign of di/dt =
-    (beta*s - delta)*i: off the tangency point the trajectory immediately
-    crosses; at s == delta/beta it either *is* the sliding equilibrium
-    (when admissible) or continues with the below-threshold branch — the
+    The field is the polynomial of the response piece that holds i.  A
+    step whose dense output of i leaves the piece is cut at the knot it
+    crosses, bisected to ``event_tol``; the knot becomes an accepted point
+    and the next piece's field takes over.  A step whose dense output
+    provably stays inside the piece (`_no_crossing`) skips the probes.  On
+    a step response the knot is L = {i == i_star} and its crossings are
+    logged as CrossUp / CrossDown events.  A start exactly on a knot takes
+    the piece the flow leaves to, by the sign of di/dt = (beta*s - delta)*i.
+    On L, off the tangency point the trajectory immediately crosses; at
+    s == delta/beta it either *is* the sliding equilibrium (when
+    admissible) or continues with the below-threshold branch — the
     canonical selection (p_sp, p_ps) = (0, 1), one fixed choice among the
     admissible continuations, kept for reproducibility.
 
@@ -333,29 +374,30 @@ def integrate(
     (beta*s <= delta).  At gamma == 0 every point of that line is
     stationary, so a state on it, or near it where it attracts, rests at a
     degenerate disease-free point.  A run still short of t_max after
-    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.
+    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.  After a step that
+    ends strictly inside its piece, the rest test is skipped when the
+    field there is too large for it (`_restless`).
     """
     if cfg is None:
         cfg = IntegratorConfig()
     beta, delta = params.beta, params.delta
-    is_step = isinstance(spec, StepResponse)
-    i_star = spec.i_star if is_step else None
     equilibria = find_equilibria(params, spec)
     eq_points = [(eq.point.s, eq.point.i, eq) for eq in equilibria]
     eps = cfg.equilibrium_eps
+    rest_floor = _rest_floor(params, eps)
     line_rest = params.gamma == 0.0
 
     sliding_eq = next(
         (eq for eq in equilibria if eq.kind is EquilibriumKind.SLIDING), None
     )
     capture_armed = False
-    if is_step and cfg.capture_spiral and sliding_eq is not None:
-        report = stability_sliding(params, i_star)
+    if cfg.capture_spiral and sliding_eq is not None:
+        report = stability_sliding(params, spec.i_star)
         capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
         if capture_armed:
             loop_gain = report.a_minus - report.a_plus  # = |A+ - A-|
     # consecutive crossings that met the certificate, the last crossing
-    # radius, and the last one on each side of L (indexed by `up`)
+    # radius, and the last one on each side of L (indexed by the piece)
     matched, last_r, side_r = 0, math.inf, [math.inf, math.inf]
 
     t = 0.0
@@ -384,7 +426,7 @@ def integrate(
         nonlocal s, i, matched, last_r
         if crossed and capture_armed:
             r = abs(s - sliding_eq.point.s)
-            r_prev, side_r[up] = side_r[up], r
+            r_prev, side_r[k] = side_r[k], r
             # |1/r - 1/r_prev - gain| <= LOOP_TOL*gain, times r*r_prev: no
             # division by r = 0, and false (nan) while r_prev is inf
             gain_ok = abs(r_prev - r - loop_gain * r * r_prev) <= (
@@ -416,24 +458,30 @@ def integrate(
             return None
         return near
 
-    # The field on the starting side; `up` is the side of L for a step.
-    if is_step:
-        above, below = _one_sided(params)
-        up = i > i_star
-        if i == i_star:
-            s_slide = delta / beta
-            up = s > s_slide
-            if up:
+    # The pieces' fields and bounds: piece k holds knots[k - 1] <= i <=
+    # knots[k], with no bound below the first or above the last.  Only a
+    # step's knot is a jump of the field, L.
+    pieces = _piece_fields(params, spec)
+    knots = [x0 for x0, _, _ in pieces[1:]]
+    fields = [rhs for _, _, rhs in pieces]
+    bounds = list(zip([-math.inf] + knots, knots + [math.inf]))
+    jump = isinstance(spec, StepResponse)
+    k = sum(x <= i for x in knots)  # the last piece that starts at or below i
+    if k and i == knots[k - 1]:
+        s_line = delta / beta
+        if not s > s_line:
+            k -= 1
+        if jump:
+            if s > s_line:
                 events.append((t, EventKind.CROSS_UP))
-            elif s < s_slide:
+            elif s < s_line:
                 events.append((t, EventKind.CROSS_DOWN))
             elif sliding_eq is not None:
                 events.append((t, EventKind.HIT_SLIDING))
                 return build(sliding_eq)
             # else: the tangency, canonical selection below
-        rhs = above if up else below
-    else:
-        rhs = compile_field(params, spec)
+    rhs, (lo, hi) = fields[k], bounds[k]
+    probe = len(fields) > 1
     fs, fi = rhs(s, i)
 
     if (eq := settle(False)) is not None:
@@ -498,15 +546,15 @@ def integrate(
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
-        # Probe the dense output of i for a crossing of L.
-        qi = _quartic(fi, k3i, k4i, k5i, k6i, k7i) if is_step or store_dense else None
+        # Probe the dense output of i for a crossing of the piece's bounds.
+        qi = _quartic(fi, k3i, k4i, k5i, k6i, k7i) if probe or store_dense else None
         crossed = False
-        if is_step:
+        if probe and not _no_crossing(i, h, qi, lo, hi):
             qi1, qi2, qi3, qi4 = qi
             ua = 0.0
             for ub in _EVENT_PROBES:
-                g = i + h * ub * (qi1 + ub * (qi2 + ub * (qi3 + ub * qi4))) - i_star
-                if (g < 0.0) if up else (g > 0.0):
+                g = i + h * ub * (qi1 + ub * (qi2 + ub * (qi3 + ub * qi4)))
+                if g < lo or g > hi:
                     crossed = True
                     break
                 ua = ub
@@ -514,22 +562,25 @@ def integrate(
 
         if crossed:
             # Bisect (ua, ub] on the dense output: the accepted point is the
-            # crossing, on L exactly, and the field switches sides there.
+            # crossing, on the knot exactly, and the next piece's field
+            # takes over there.
             while (ub - ua) * h > event_tol:
                 um = 0.5 * (ua + ub)
                 if not ua < um < ub:
                     break  # adjacent doubles: event_tol is below round-off
-                g = i + h * um * (qi1 + um * (qi2 + um * (qi3 + um * qi4))) - i_star
-                if (g < 0.0) if up else (g > 0.0):
-                    ub = um
+                gm = i + h * um * (qi1 + um * (qi2 + um * (qi3 + um * qi4)))
+                if gm < lo or gm > hi:
+                    ub, g = um, gm
                 else:
                     ua = um
             te = t + ub * h
             s1 = s + h * ub * (qs[0] + ub * (qs[1] + ub * (qs[2] + ub * qs[3])))
-            i1 = i_star
-            events.append((te, EventKind.CROSS_DOWN if up else EventKind.CROSS_UP))
-            up = not up
-            rhs = above if up else below
+            down = g < lo
+            if jump:
+                events.append((te, EventKind.CROSS_DOWN if down else EventKind.CROSS_UP))
+            i1 = lo if down else hi
+            k += -1 if down else 1
+            rhs, (lo, hi) = fields[k], bounds[k]
         else:
             te = t + h
 
@@ -546,7 +597,9 @@ def integrate(
             fs, fi = rhs(s, i)
         else:
             fs, fi = k7s, k7i
-        if (eq := settle(crossed)) is not None:
+        if not _restless(fs, fi, i, lo, hi, rest_floor) and (
+            eq := settle(crossed and jump)
+        ) is not None:
             return build(eq)
         if crossed:
             continue  # reuse the current h; the controller re-adapts

@@ -324,20 +324,6 @@ def compile_field(
     return rhs
 
 
-def _one_sided(params: ModelParams):
-    """A step response's field (above, below) L, written out: the hot path
-    of Filippov integration, it skips the response call."""
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-
-    def above(s, i):
-        return -beta * s * i - gamma * s, (beta * s - delta) * i
-
-    def below(s, i):
-        return -beta * s * i + gamma * (1.0 - s - i), (beta * s - delta) * i
-
-    return above, below
-
-
 def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float, float, float]]:
     """The linear pieces ``(x0, x1, sp0, b, ps0, d)`` of ``spec`` that cover
     [0, 1], in order: p_sp = sp0 + b*(i - x0), p_ps = ps0 + d*(i - x0) on
@@ -382,6 +368,50 @@ def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float
     return pieces
 
 
+def _piece_fields(params: ModelParams, spec: ResponseSpec):
+    """The field on each `response_pieces` piece, as ``(x0, x1, rhs)`` with
+    ``rhs(s, i) -> (ds, di)`` a fixed polynomial that makes no response
+    call: the hot path of integration.
+
+    A constant piece is -beta*s*i - a*s + c*(1 - s - i) with a = gamma*sp0
+    and c = gamma*ps0, so a step's two pieces are its one-sided fields
+    below and above L.  A sloped piece takes p_sp = sp0 + b*u and
+    p_ps = ps0 + d*u at u = i - x0, as `compile_response` evaluates a
+    tabulated response.  The empty piece at 0 is left out: i = 0 is not a
+    switching line.  One at 1 stays, for a step with i_star = 1 jumps
+    there.  A piece too narrow for a finite slope keeps its values at x0.
+    """
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    fields = []
+    for x0, x1, sp0, b, ps0, d in response_pieces(spec):
+        if x1 == 0.0:
+            continue
+        if b == d == 0.0 or not (math.isfinite(b) and math.isfinite(d)):
+            rhs = _constant_piece(beta, delta, gamma * sp0, gamma * ps0)
+        else:
+            rhs = _sloped_piece(beta, gamma, delta, x0, sp0, b, ps0, d)
+        fields.append((x0, x1, rhs))
+    return fields
+
+
+def _constant_piece(beta, delta, a, c):
+    def rhs(s, i):
+        return -beta * s * i - a * s + c * (1.0 - s - i), (beta * s - delta) * i
+
+    return rhs
+
+
+def _sloped_piece(beta, gamma, delta, x0, sp0, b, ps0, d):
+    def rhs(s, i):
+        u = i - x0
+        return (
+            -beta * s * i - gamma * s * (sp0 + b * u) + gamma * (1.0 - s - i) * (ps0 + d * u),
+            (beta * s - delta) * i,
+        )
+
+    return rhs
+
+
 def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
     """Derivatives (dp_sp/di, dp_ps/di): the slopes b, d of the
     `response_pieces` piece that holds ``i``, the last one starting at or
@@ -400,13 +430,13 @@ def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:
 
     On L = {i == i_star} of a `StepResponse` the returned segment spans the
     two one-sided limits of the S-rate, ds_lo from above L (everyone
-    protects) and ds_hi from below it (nobody does), both from `_one_sided`,
-    while di = (beta*s - delta)*i is continuous across L.  Everywhere else
-    the value is that of `compile_field`.
+    protects) and ds_hi from below it (nobody does), the step's two
+    `_piece_fields`, while di = (beta*s - delta)*i is continuous across L.
+    Everywhere else the value is that of `compile_field`.
     """
     s, i = x.s, x.i
     if isinstance(spec, StepResponse) and i == spec.i_star:
-        above, below = _one_sided(params)
+        (_, _, below), (_, _, above) = _piece_fields(params, spec)
         ds_hi, di = below(s, i)
         return FieldSegment(ds_lo=above(s, i)[0], ds_hi=ds_hi, di=di)
     return FieldPoint(*compile_field(params, spec)(s, i))

@@ -209,6 +209,14 @@ def test_step_equilibria_equal_the_closed_form_reference(case):
     assert _bits(got) == _bits(want)
 
 
+def test_step_endemic_level_survives_an_overflowing_gamma_plus_delta():
+    # gamma + delta = 2e308 overflows; I1 = gamma*m/(gamma + delta) with
+    # m = 1 - delta/beta = 1/3 is 1/6, not gamma*m/inf = 0
+    eqs = find_equilibria(ModelParams(1.5e308, 1e308, 1e308), StepResponse(0.5))
+    assert kinds(eqs) == [EquilibriumKind.DISEASE_FREE, EquilibriumKind.ENDEMIC]
+    assert eqs[-1].point.i == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+
 # -------------------------------------------------- continuous responses
 
 

@@ -16,6 +16,7 @@ from epiresponse.equilibria import (
     stability_sliding,
 )
 from epiresponse.integrator import (
+    _EVENT_PROBES,
     LOOP_COUNT,
     LOOP_TOL,
     DomainError,
@@ -25,6 +26,9 @@ from epiresponse.integrator import (
     StepUnderflowError,
     TerminationReason,
     Trajectory,
+    _no_crossing,
+    _rest_floor,
+    _restless,
     classify_basin,
     dulac_scan,
     energy_E,
@@ -38,9 +42,12 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    _piece_fields,
     compile_field,
     compile_response,
+    field,
 )
+from test_model import tabulated_responses
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)  # reference parameter set
 
@@ -218,9 +225,19 @@ def _ramp(a, width):
     )
 
 
-@pytest.mark.parametrize(
-    "spec", [SigmoidResponse(0.2, 0.05), _ramp(0.2, 0.05), ConstantResponse(0.3, 0.6)]
-)
+# The largest distance to DOP853 at rtol 1e-13 allowed for each response:
+# with every knot located, the ramps meet 8.0e-10 and 8.4e-10 and the
+# constant response 1.6e-10; the narrow sigmoid, 8 knot crossings and ~800
+# samples, 2.8e-8.
+DOP853_BOUND = {
+    SigmoidResponse(0.2, 0.05): 1e-8,
+    _ramp(0.2, 0.05): 1e-8,
+    ConstantResponse(0.3, 0.6): 1e-8,
+    SigmoidResponse(0.3, 0.001): 1e-7,
+}
+
+
+@pytest.mark.parametrize("spec", list(DOP853_BOUND))
 def test_dense_output_matches_scipy_dop853(spec):
     traj = integrate(FIG, spec, State(0.9, 0.05), IntegratorConfig(t_max=40.0))
     grid = np.linspace(0.0, traj.final_time, 401)
@@ -231,11 +248,93 @@ def test_dense_output_matches_scipy_dop853(spec):
         [0.9, 0.05],
         method="DOP853",
         t_eval=grid,
-        rtol=1e-10,
-        atol=1e-12,
+        rtol=1e-13,
+        atol=1e-15,
     )
     assert ref.success
-    assert np.max(np.abs(traj.evaluate(grid) - ref.y.T)) < 1e-6
+    assert np.max(np.abs(traj.evaluate(grid) - ref.y.T)) < DOP853_BOUND[spec]
+
+
+def _knots(spec):
+    return [x0 for x0, _, _ in _piece_fields(FIG, spec)[1:]]
+
+
+@pytest.mark.parametrize(
+    "spec", [SigmoidResponse(0.2, 0.05), _ramp(0.2, 0.05), SigmoidResponse(0.3, 0.001)]
+)
+def test_every_piece_change_is_a_sample_on_a_knot(spec):
+    """No step straddles a knot: the path changes pieces only at accepted
+    samples with i exactly on a knot, and kinks log no crossing events."""
+    traj = integrate(FIG, spec, State(0.9, 0.05), IntegratorConfig(t_max=40.0))
+    i = traj.states[:, 1]
+    knots = _knots(spec)
+    assert any(np.any(i == x) for x in knots)
+    for a, b in zip(i, i[1:]):
+        assert not any(min(a, b) < x < max(a, b) for x in knots)
+    assert crossings(traj) == []
+
+
+def test_a_knot_below_the_tolerances_ends_within_the_step_budget():
+    # p_ps falls from 1 to 0 across [0, 3.48e-136], where the endemic point
+    # sits on the knot: the run reaches t_max without spending `MAX_STEPS`,
+    # though it comes back to that knot ~200 times
+    spec = TabulatedResponse((0.0, 3.48e-136), (0.0, 0.0), (1.0, 0.0))
+    cfg = IntegratorConfig()
+    traj = integrate(FIG, spec, State(0.9, 0.05), cfg)
+    assert traj.final_time == cfg.t_max
+    assert np.count_nonzero(traj.states[:, 1] == 3.48e-136) > 0
+
+
+def _near(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place, either way."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False),
+)
+STEPS = st.one_of(
+    st.floats(5e-324, 1e-300),
+    st.floats(1e-18, 1e-14),  # probes within a few ulps of i ~ 0.1-1
+    st.floats(1e-300, 1e300),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=500)
+@example(knot=0.2, ulps=1, below=False, far=math.inf, h=5e-324, q=(1.0, -1.0, 0.5, 0.0))
+# i four ulps above the knot, the probe at u = 1 four ulps further and the
+# other bound three: any bound short of the full reach lets that probe out
+@example(knot=0.25, ulps=4, below=False, far=-0.75, h=math.ulp(0.25), q=(1.0, 1.0, 1.0, 1.0))
+@given(
+    knot=st.floats(0.0, 1.0),
+    ulps=st.integers(-4, 4),
+    below=st.booleans(),
+    far=st.one_of(st.just(math.inf), st.floats(0.0, 1.0), st.floats(0.5, 2.0).map(lambda m: -m)),
+    h=STEPS,
+    q=st.tuples(COEFFS, COEFFS, COEFFS, COEFFS),
+)
+def test_no_crossing_bound_keeps_every_probe_inside(knot, ulps, below, far, h, q):
+    """Whenever `_no_crossing` lets a step skip its probes, each of the
+    eight probes, computed as the loop computes it, lies strictly inside
+    the piece: for any step size, i within a few ulps of a knot, and bounds
+    that may be infinite.  The other bound lies at ``far`` on the far side,
+    or, for a negative ``far``, at -far times h*(|q1| + |q2| + |q3| + |q4|)
+    from i, where a probe may reach it."""
+    i = _near(knot, ulps)
+    side = -1.0 if below else 1.0
+    other = i - side * far * h * sum(map(abs, q)) if far < 0.0 else side * far
+    lo, hi = (other, knot) if below else (knot, other)
+    if _no_crossing(i, h, q, lo, hi):
+        q1, q2, q3, q4 = q
+        for u in _EVENT_PROBES:
+            g = i + h * u * (q1 + u * (q2 + u * (q3 + u * q4)))
+            assert lo < g < hi
 
 
 PARAMS = st.builds(
@@ -297,6 +396,40 @@ def test_g_is_the_field_on_the_line_s_equals_delta_over_beta(params, spec, i):
     # each term rounds at most three times, each way, and the two sums
     # once each: the two forms differ by at most ~10 ulps of the terms' size
     assert abs(g - sum(terms)) <= 10 * math.ulp(sum(map(abs, terms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=PARAMS, data=st.data())
+def test_rest_precheck_never_skips_a_rest_that_settle_grants(params, data):
+    """`_restless` skips the rest test only where `field` exceeds eps, so
+    the test could not grant a rest: eps is drawn up to the precheck's own
+    threshold, and i on a knot or L, on a knot's neighbour piece, or inside
+    the piece that holds it."""
+    spec = data.draw(st.one_of(RESPONSES, tabulated_responses()))
+    pieces = _piece_fields(params, spec)
+    knots = [x0 for x0, _, _ in pieces[1:]]
+    k = data.draw(st.integers(0, len(knots)))
+    x0, x1, rhs = pieces[k]
+    inside = st.floats(x0, x1)
+    i = data.draw(st.one_of(inside, st.sampled_from(knots)) if knots else inside)
+    s = data.draw(st.floats(0.0, 1.0)) * (1.0 - i)
+    lo, hi = ([-math.inf] + knots)[k], (knots + [math.inf])[k]
+    fs, fi = rhs(s, i)
+    slack = _rest_floor(params, 0.0)
+    norm = max(abs(fs), abs(fi))
+    exact = field(params, spec, State(s, i)).distance_to_zero()
+    eps = data.draw(
+        st.one_of(
+            st.just(exact),  # the largest eps at which the rest test passes
+            st.floats(1e-12, 1.0),
+            st.floats(1.0, 2.0).map(lambda w: norm - w * slack),
+            st.integers(40, 60).map(lambda n: norm - norm * 2.0**-n),
+        )
+    )
+    if not 0.0 < eps < math.inf:
+        return
+    if _restless(fs, fi, i, lo, hi, _rest_floor(params, eps)):
+        assert exact > eps
 
 
 # ------------------------------------------------------- diagnostics E and M
@@ -474,13 +607,21 @@ SLIDING_CASES = st.tuples(
 
 
 @settings(max_examples=20, deadline=None)
+# corner starts whose gains at r ~ 2e-3 still carry the normal form's O(r)
+# term, -1.6e-3 relative: the 1e-3 bound holds only further in
+@example(case=(2.0, 0.5, 0.75, 0.9375, State(0.0, 1.0)))
+@example(case=(1.0, 0.203125, 0.5, 0.9375, State(0.0, 1.0)))
+@example(case=(3.0, 0.5, 0.5, 0.9375, State(0.0, 1.0)))
 @given(case=SLIDING_CASES)
 def test_spiral_follows_the_sliding_normal_form(case):
     """Without capture the crossing radii r obey the fused-focus normal
     form: 1/r gains |A+ - A-| per loop, and a loop takes c*r, so the time
     from radius r0 to r is c/|A| * ln(r0/r), c = 2*(1/P+(0,0) + 1/|P-(0,0)|).
     Wherever the certificate first holds, the spiral goes on shrinking
-    below 3e-3 (the radius capture once waited for)."""
+    below 3e-3 (the radius capture once waited for).  The gain's relative
+    error is O(r): ~1.6e-3 at r ~ 2e-3, so the 1e-3 bound is checked at
+    r ~ 2e-4, on a run whose crossings are located to 1e-14 in time (at the
+    default 1e-10 the location error in s, divided by r^2, exceeds it)."""
     beta, gamma, ratio, frac, x0 = case
     params = ModelParams(beta, gamma, ratio * beta)
     i1 = (1.0 - ratio) / (1.0 + ratio * beta / gamma)
@@ -505,8 +646,12 @@ def test_spiral_follows_the_sliding_normal_form(case):
     assert all(b < a for a, b in zip(radii[fire:], radii[fire + 1 :]))
     assert radii[-1] < 3e-3
 
-    # the normal form, on a run accurate enough to resolve it at r ~ 2e-3
-    tight = IntegratorConfig(capture_spiral=False, t_max=t_max, rel_tol=1e-11, abs_tol=1e-13)
+    # the normal form, on a run accurate enough to resolve it at r ~ 2e-4,
+    # which by the time law it reaches at t_tight
+    t_tight = t_fire + c / gain * math.log(max(r_fire, 2e-4) / 2e-4) + 1e-3 * c
+    tight = IntegratorConfig(
+        capture_spiral=False, t_max=t_tight, rel_tol=1e-12, abs_tol=1e-14, event_tol=1e-14
+    )
     times, radii = crossing_radii(integrate(params, spec, x0, tight), s_slide)
     gains = [1.0 / radii[k] - 1.0 / radii[k - 2] for k in range(fire, len(radii))]
     assert all(abs(g - gain) <= LOOP_TOL * gain for g in gains)
