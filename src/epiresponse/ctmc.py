@@ -26,9 +26,9 @@ At n >= 1000 it drops in numpy each event that is a no-op for every state
 within n // 40 agents of its window's start state, and passes the rest,
 in order, to the exact per-event tests: same stream, same jumps.
 
-The response is evaluated through `model.compile_response`, the scalar
-kernel shared with the integrator and the trace engine; at a step
-threshold it takes the canonical selection (p_SP, p_PS) = (0, 1).
+The response is evaluated through `model.compile_response`, a lookup on
+the response's one row table; at a step threshold it takes the canonical
+selection (p_SP, p_PS) = (0, 1).
 """
 
 import math

@@ -33,10 +33,10 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
-    compile_field,
+    _response_at,
+    compile_response,
     eval_response_selected,
     response_pieces,
-    response_slopes,
 )
 
 __all__ = [
@@ -221,17 +221,20 @@ def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[
 
 def g_function(params: ModelParams, spec: ResponseSpec, i: float) -> float:
     """Endemic balance g(i) whose root gives the X1 infection level: the
-    S-rate of `compile_field` on the line s = delta/beta, where di/dt = 0,
+    S-rate on the line s = delta/beta, where di/dt = 0,
 
         g(i) = -delta*i - (gamma*delta/beta)*p_sp(i)
-               + gamma*(1 - delta/beta - i)*p_ps(i)
+               + gamma*(1 - delta/beta - i)*p_ps(i),
 
-    g(1) < 0 for all positive rates; g is strictly decreasing on
-    [0, 1 - delta/beta] and negative beyond, so when g(0) >= 0 it has one
-    root, which `find_equilibria` solves for on the response piece that
-    holds it.
+    evaluated as these three terms, so -delta*i survives where delta/beta
+    underflows.  g(1) < 0 for all positive rates; g is strictly decreasing
+    on [0, 1 - delta/beta] and negative beyond, so when g(0) >= 0 it has
+    one root, which `find_equilibria` solves for on the response piece
+    that holds it.
     """
-    return compile_field(params, spec)(params.delta / params.beta, i)[0]
+    beta, gamma, delta = params.beta, params.gamma, params.delta
+    p_sp, p_ps = compile_response(spec)(i)
+    return -delta * i - (gamma * delta / beta) * p_sp + gamma * (1.0 - delta / beta - i) * p_ps
 
 
 def jacobian(params: ModelParams, spec: ResponseSpec, x: State) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -242,13 +245,13 @@ def jacobian(params: ModelParams, spec: ResponseSpec, x: State) -> tuple[tuple[f
         j21 =  beta*i
         j22 =  beta*s - delta
 
-    Response derivatives use the right-slope convention at kinks; step
-    responses contribute zero slopes away from the threshold.
+    The response and its slopes come from one lookup of the row that holds
+    i (`model._response_at`): the right-slope convention at kinks, and
+    zero slopes for a step.
     """
     beta, gamma, delta = params.beta, params.gamma, params.delta
     s, i = x.s, x.i
-    p_sp, p_ps = eval_response_selected(spec, i)
-    d_sp, d_ps = response_slopes(spec, i)
+    p_sp, p_ps, d_sp, d_ps = _response_at(spec, i)
     j11 = -beta * i - gamma * (p_sp + p_ps)
     j12 = -beta * s - gamma * s * d_sp - gamma * p_ps + gamma * (1.0 - s - i) * d_ps
     j21 = beta * i

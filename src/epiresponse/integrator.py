@@ -310,22 +310,6 @@ def _no_crossing(i, h, q, lo, hi):
     return lo < i - reach and i + reach < hi
 
 
-def _rest_floor(params: ModelParams, eps: float) -> float:
-    """`equilibrium_eps` plus the rounding by which a piece's field and
-    `model.field` may differ: each sums three terms of size at most beta,
-    gamma and gamma, each rounded a few times."""
-    return eps + 1e-14 * (params.beta + 2.0 * params.gamma)
-
-
-def _restless(fs, fi, i, lo, hi, floor):
-    """True when `settle` cannot grant a rest at a state with i strictly
-    inside its piece (lo, hi) and piece field (fs, fi): the rest test needs
-    `model.field` within `equilibrium_eps` of zero, and there `model.field`
-    is the piece's field up to the rounding that ``floor`` (`_rest_floor`)
-    covers.  A state on a knot, L included, is never restless."""
-    return lo < i < hi and (abs(fs) > floor or abs(fi) > floor)
-
-
 def _clip_to_domain(t, s, i):
     if s < 0.0:
         if s < -DOMAIN_SLACK:
@@ -374,9 +358,7 @@ def integrate(
     (beta*s <= delta).  At gamma == 0 every point of that line is
     stationary, so a state on it, or near it where it attracts, rests at a
     degenerate disease-free point.  A run still short of t_max after
-    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.  After a step that
-    ends strictly inside its piece, the rest test is skipped when the
-    field there is too large for it (`_restless`).
+    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -384,7 +366,6 @@ def integrate(
     equilibria = find_equilibria(params, spec)
     eq_points = [(eq.point.s, eq.point.i, eq) for eq in equilibria]
     eps = cfg.equilibrium_eps
-    rest_floor = _rest_floor(params, eps)
     line_rest = params.gamma == 0.0
 
     sliding_eq = next(
@@ -421,8 +402,10 @@ def integrate(
             traj._seg_starts = np.array([seg[0] for seg in segments])
         return traj
 
-    def settle(crossed):
-        """The equilibrium the run ends at here, or None to go on."""
+    def settle(crossed, inside):
+        """The equilibrium the run ends at here, or None to go on.  With
+        ``inside`` the caller has found the field within eps, strictly
+        inside the piece where it is the loop's own (fs, fi)."""
         nonlocal s, i, matched, last_r
         if crossed and capture_armed:
             r = abs(s - sliding_eq.point.s)
@@ -454,7 +437,9 @@ def integrate(
             near = Equilibrium(
                 EquilibriumKind.DISEASE_FREE, State(s, 0.0), degenerate=True
             )
-        if near is None or field(params, spec, State(s, i)).distance_to_zero() > eps:
+        if near is None or not inside and (
+            field(params, spec, State(s, i)).distance_to_zero() > eps
+        ):
             return None
         return near
 
@@ -484,7 +469,7 @@ def integrate(
     probe = len(fields) > 1
     fs, fi = rhs(s, i)
 
-    if (eq := settle(False)) is not None:
+    if (eq := settle(False, False)) is not None:
         return build(eq)
 
     # At least the smallest double: a step of 0 never advances t.
@@ -597,8 +582,11 @@ def integrate(
             fs, fi = rhs(s, i)
         else:
             fs, fi = k7s, k7i
-        if not _restless(fs, fi, i, lo, hi, rest_floor) and (
-            eq := settle(crossed and jump)
+        # strictly inside its piece `field` is the loop's own (fs, fi), bit
+        # for bit: no rest where that exceeds eps
+        inside = lo < i < hi
+        if not (inside and (abs(fs) > eps or abs(fi) > eps)) and (
+            eq := settle(crossed and jump, inside)
         ) is not None:
             return build(eq)
         if crossed:

@@ -18,8 +18,9 @@ the two one-sided limits, while the I-rate is continuous across L.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Union
 
 __all__ = [
@@ -234,158 +235,137 @@ class ClassSpec:
             raise ValueError(f"class weight must lie in (0, 1], got {self.weight}")
 
 
-def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float]]:
-    """Compile ``spec`` once into a scalar ``i -> (p_sp, p_ps)`` closure.
+def _response_rows(spec: ResponseSpec) -> list[tuple[float, float, float, float, float]]:
+    """The one definition of each response: rows ``(x, sp0, b, ps0, d)``
+    over the whole real line, in order, the first from -inf.  Row j holds
+    p_sp = sp0 + b*(i - x), p_ps = ps0 + d*(i - x) from its x up to the
+    next row's.
 
-    This is the one implementation of the response: every engine evaluates
-    it through this closure.  The closure makes no numpy calls, so it suits
-    simulators that evaluate the response once per step or event.  At a
-    step threshold it applies the canonical selection (p_sp, p_ps) = (0, 1),
-    the limit from below, one fixed value out of the set [0, 1].  A sigmoid
-    ramp is evaluated as ``(i - lo)/eps`` with ``lo = i_star - eps/2``
-    precomputed.  Tabulated responses replicate ``numpy.interp`` bit for
-    bit: clamp below the first knot and at or above the last, the knot
-    value exactly on a knot, otherwise ``slope*(i - x[j]) + y[j]``.
+    A step is two flat rows, (0, 1) and from i_star (1, 0); a constant one
+    flat row.  A sigmoid is its two flat ends and the ramp from
+    ``i_star - eps/2`` with slope 1/eps.  A table is flat before its first
+    knot and from its last, with one row per segment between, of slope
+    ``(y1 - y0)/w``.
     """
     if isinstance(spec, StepResponse):
-        i_star = spec.i_star
-
-        def resp(i):
-            if i > i_star:
-                return 1.0, 0.0
-            return 0.0, 1.0
-
-        return resp
-    if isinstance(spec, SigmoidResponse):
-        eps = spec.epsilon
-        lo = spec.i_star - 0.5 * eps
-
-        def resp(i):
-            p = (i - lo) / eps
-            if p < 0.0:
-                p = 0.0
-            elif p > 1.0:
-                p = 1.0
-            return p, 1.0 - p
-
-        return resp
-    if isinstance(spec, TabulatedResponse):
-        xs, sp, ps = spec.knots, spec.p_sp, spec.p_ps
-        x_first, x_last = xs[0], xs[-1]
-        first, last = (sp[0], ps[0]), (sp[-1], ps[-1])
-        widths = [b - a for a, b in zip(xs, xs[1:])]
-        sp_slopes = [(b - a) / w for a, b, w in zip(sp, sp[1:], widths)]
-        ps_slopes = [(b - a) / w for a, b, w in zip(ps, ps[1:], widths)]
-
-        def resp(i):
-            if i < x_first:
-                return first
-            if i < x_last:
-                j = bisect_right(xs, i) - 1
-                x = xs[j]
-                if x == i:
-                    return sp[j], ps[j]
-                d = i - x
-                return sp_slopes[j] * d + sp[j], ps_slopes[j] * d + ps[j]
-            if i >= x_last:
-                return last
-            return i, i  # NaN propagates, as through numpy.interp
-
-        return resp
+        return [(-math.inf, 0.0, 0.0, 1.0, 0.0), (spec.i_star, 1.0, 0.0, 0.0, 0.0)]
     if isinstance(spec, ConstantResponse):
-        pair = (spec.p_sp, spec.p_ps)
-        return lambda i: pair
-    raise TypeError(f"unknown response spec: {spec!r}")
-
-
-def eval_response_selected(spec: ResponseSpec, i: float) -> tuple[float, float]:
-    """One evaluation of `compile_response`; prefer the closure in loops."""
-    return compile_response(spec)(i)
-
-
-def compile_field(
-    params: ModelParams, spec: ResponseSpec
-) -> Callable[[float, float], tuple[float, float]]:
-    """Compile the single-valued field into a scalar ``(s, i) -> (ds, di)`` closure.
-
-    The response comes from `compile_response`, so a step threshold uses the
-    canonical selection (0, 1); `field` gives the set-valued form there.
-    """
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    resp = compile_response(spec)
-
-    def rhs(s, i):
-        p_sp, p_ps = resp(i)
-        return (
-            -beta * s * i - gamma * s * p_sp + gamma * (1.0 - s - i) * p_ps,
-            (beta * s - delta) * i,
-        )
-
-    return rhs
-
-
-def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float, float, float]]:
-    """The linear pieces ``(x0, x1, sp0, b, ps0, d)`` of ``spec`` that cover
-    [0, 1], in order: p_sp = sp0 + b*(i - x0), p_ps = ps0 + d*(i - x0) on
-    [x0, x1].
-
-    Adjacent pieces share a bound; zero-width ones may sit at 0 or 1.  A step
-    is (0, 1) below i_star and (1, 0) above.  A sigmoid ramp starts at the
-    ``lo`` of `compile_response`; a ramp or tabulated response holds its
-    end values outside, clipped to [0, 1].  The first piece starts with
-    the values `compile_response` gives at 0.
-    """
-    if isinstance(spec, StepResponse):
-        return [(0.0, spec.i_star, 0.0, 0.0, 1.0, 0.0), (spec.i_star, 1.0, 1.0, 0.0, 0.0, 0.0)]
-    if isinstance(spec, ConstantResponse):
-        return [(0.0, 1.0, spec.p_sp, 0.0, spec.p_ps, 0.0)]
-    # rows (x, sp, b, ps, d): the response from x up to the next row's x
+        return [(-math.inf, spec.p_sp, 0.0, spec.p_ps, 0.0)]
     if isinstance(spec, SigmoidResponse):
-        half = 0.5 * spec.epsilon
-        rate = 1.0 / spec.epsilon
-        rows = [
-            (0.0, 0.0, 0.0, 1.0, 0.0),
+        half, rate = 0.5 * spec.epsilon, 1.0 / spec.epsilon
+        return [
+            (-math.inf, 0.0, 0.0, 1.0, 0.0),
             (spec.i_star - half, 0.0, rate, 1.0, -rate),
             (spec.i_star + half, 1.0, 0.0, 0.0, 0.0),
         ]
-    elif isinstance(spec, TabulatedResponse):
+    if isinstance(spec, TabulatedResponse):
         xs, sp, ps = spec.knots, spec.p_sp, spec.p_ps
-        rows = [(0.0, sp[0], 0.0, ps[0], 0.0)]
+        rows = [(-math.inf, sp[0], 0.0, ps[0], 0.0)]
         for j in range(len(xs) - 1):
             w = xs[j + 1] - xs[j]
             rows.append((xs[j], sp[j], (sp[j + 1] - sp[j]) / w, ps[j], (ps[j + 1] - ps[j]) / w))
         rows.append((xs[-1], sp[-1], 0.0, ps[-1], 0.0))
-    else:
-        raise TypeError(f"unknown response spec: {spec!r}")
-    pieces = []
-    for (x, sp0, b, ps0, d), (end, *_) in zip(rows, rows[1:] + [(1.0,)]):
-        x0, x1 = max(x, 0.0), min(end, 1.0)
-        if x1 < x0:
-            continue
-        if x0 != x:  # a piece that starts below 0 starts at the response at 0
-            sp0, ps0 = compile_response(spec)(x0)
-        pieces.append((x0, x1, sp0, b, ps0, d))
+        return rows
+    raise TypeError(f"unknown response spec: {spec!r}")
+
+
+def _find(spec: ResponseSpec):
+    """The bisection that locates i among row or piece starts, the first of
+    them -inf: ``find(starts, i) - 1`` is the last that starts at or below
+    i (`bisect_right`), but on a step's jump the one below (`bisect_left`),
+    the canonical selection (p_sp, p_ps) = (0, 1) at i == i_star."""
+    return bisect_left if isinstance(spec, StepResponse) else bisect_right
+
+
+def _row_value(row, i: float) -> tuple[float, float]:
+    """``(p_sp, p_ps)`` of ``row`` at ``i``: its stored values where it is
+    flat or ``u = i - x`` is 0 (knots too close for a finite slope), else
+    ``sp0 + b*u, ps0 + d*u``."""
+    x, sp0, b, ps0, d = row
+    u = i - x
+    if u == 0.0 or b == d == 0.0:
+        return sp0, ps0
+    return sp0 + b * u, ps0 + d * u
+
+
+def _response_at(spec: ResponseSpec, i: float) -> tuple[float, float, float, float]:
+    """``(p_sp, p_ps, dp_sp/di, dp_ps/di)`` at ``i`` from one lookup of the
+    row that holds it: the value `compile_response` gives, and the row's
+    slopes."""
+    rows = _response_rows(spec)
+    row = rows[_find(spec)(rows, i, key=itemgetter(0)) - 1]
+    return (*_row_value(row, i), row[2], row[4])
+
+
+def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float]]:
+    """Compile ``spec`` once into a scalar ``i -> (p_sp, p_ps)`` closure: a
+    lookup of the row that holds i (`_find`) in `_response_rows`.
+
+    Every engine evaluates the response through this closure, which makes
+    no numpy calls.  A flat row returns one prebuilt pair; a sloped row
+    evaluates as `_row_value`.  At a step threshold this is the canonical
+    selection (0, 1), the limit from below.  Tabulated responses match
+    ``numpy.interp`` bit for bit: its end values outside the knots, the
+    knot value exactly on a knot, otherwise ``slope*(i - x[j]) + y[j]``.
+    """
+    rows = _response_rows(spec)
+    starts, flat = [], []
+    for x, sp0, b, ps0, d in rows:
+        starts.append(x)
+        flat.append(None if b or d else (sp0, ps0))
+    find = _find(spec)
+
+    def resp(i):
+        j = find(starts, i) - 1
+        return flat[j] or _row_value(rows[j], i)
+
+    return resp
+
+
+def eval_response_selected(spec: ResponseSpec, i: float) -> tuple[float, float]:
+    """The value `compile_response` gives at ``i``.  It stays only as the
+    name the benchmark's tracer wraps for its response counts (ROADMAP
+    item 4)."""
+    return _response_at(spec, i)[:2]
+
+
+def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float, float, float]]:
+    """The rows of `_response_rows` clipped to [0, 1], in order, as pieces
+    ``(x0, x1, sp0, b, ps0, d)``: p_sp = sp0 + b*(i - x0), p_ps = ps0 +
+    d*(i - x0) on [x0, x1].
+
+    The pieces start at 0, end at 1 and share their bounds.  A row that
+    ends at or below 0 is left out, for i = 0 is no switching line; a
+    piece may be empty at 1 (a step with i_star = 1 jumps there) or where
+    a sigmoid's ramp is narrower than an ulp.  A piece that starts at 0
+    inside a sloped row takes the row's values there.
+    """
+    pieces, end = [], math.inf
+    for row in reversed(_response_rows(spec)):  # each ends where the next starts
+        x, sp0, b, ps0, d = row
+        if end > 0.0 and x <= 1.0:
+            if x < 0.0:
+                x, (sp0, ps0) = 0.0, _row_value(row, 0.0)
+            pieces.append((x, min(end, 1.0), sp0, b, ps0, d))
+        end = row[0]
+    pieces.reverse()
     return pieces
 
 
 def _piece_fields(params: ModelParams, spec: ResponseSpec):
     """The field on each `response_pieces` piece, as ``(x0, x1, rhs)`` with
     ``rhs(s, i) -> (ds, di)`` a fixed polynomial that makes no response
-    call: the hot path of integration.
+    call: the one field formula, built once per run.
 
     A constant piece is -beta*s*i - a*s + c*(1 - s - i) with a = gamma*sp0
     and c = gamma*ps0, so a step's two pieces are its one-sided fields
     below and above L.  A sloped piece takes p_sp = sp0 + b*u and
     p_ps = ps0 + d*u at u = i - x0, as `compile_response` evaluates a
-    tabulated response.  The empty piece at 0 is left out: i = 0 is not a
-    switching line.  One at 1 stays, for a step with i_star = 1 jumps
-    there.  A piece too narrow for a finite slope keeps its values at x0.
+    row.  A piece too narrow for a finite slope keeps its values at x0.
     """
     beta, gamma, delta = params.beta, params.gamma, params.delta
     fields = []
     for x0, x1, sp0, b, ps0, d in response_pieces(spec):
-        if x1 == 0.0:
-            continue
         if b == d == 0.0 or not (math.isfinite(b) and math.isfinite(d)):
             rhs = _constant_piece(beta, delta, gamma * sp0, gamma * ps0)
         else:
@@ -412,17 +392,34 @@ def _sloped_piece(beta, gamma, delta, x0, sp0, b, ps0, d):
     return rhs
 
 
+def compile_field(
+    params: ModelParams, spec: ResponseSpec
+) -> Callable[[float, float], tuple[float, float]]:
+    """Compile the single-valued field into a scalar ``(s, i) -> (ds, di)``
+    closure: the field of the `_piece_fields` piece that holds i, located
+    as `compile_response` locates its row (`_find`).  A step threshold
+    takes the lower piece, the canonical selection (0, 1); `field` gives
+    the set-valued form there.
+    """
+    pieces = _piece_fields(params, spec)
+    starts = [-math.inf] + [x0 for x0, _, _ in pieces[1:]]
+    fields = [rhs for _, _, rhs in pieces]
+    find = _find(spec)
+
+    def rhs(s, i):
+        return fields[find(starts, i) - 1](s, i)
+
+    return rhs
+
+
 def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
-    """Derivatives (dp_sp/di, dp_ps/di): the slopes b, d of the
-    `response_pieces` piece that holds ``i``, the last one starting at or
-    below it.
+    """Derivatives (dp_sp/di, dp_ps/di): the slopes of the row that holds
+    ``i`` (`_response_at`).
 
     That is the right-slope convention at kinks; a step response reports 0
     everywhere, its threshold included.
     """
-    pieces = response_pieces(spec)
-    _, _, _, b, _, d = pieces[max(bisect_right([p[0] for p in pieces], i) - 1, 0)]
-    return b, d
+    return _response_at(spec, i)[2:]
 
 
 def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:

@@ -18,8 +18,8 @@ ties do not occur.
 
 A class response only ever reads the infected fraction k / n, so each is
 tabulated once per experiment (`response_table`) at every infected count
-k, from `model.compile_response`, the scalar kernel shared with the jump
-process and the integrator; replay looks the tables up.  A run reads its
+k, from `model.compile_response`, a lookup on the response's row table;
+replay looks the tables up.  A run reads its
 clock in the numpy blocks of `sampling.clock_blocks`: per block, numpy
 turns the uniforms into agents and event types and finds, for each
 event, how many contacts start at or before it; the per-event loop then

@@ -277,6 +277,13 @@ def test_degenerate_root_at_zero():
     assert eqs[0].degenerate
 
 
+def test_g_keeps_its_infection_term_where_delta_over_beta_underflows():
+    # delta/beta = 1e-608 underflows to 0; g(0.6) = -delta*0.6 - gamma*delta/beta,
+    # about -1.6e-300, not the 0 that a field at s = delta/beta would give
+    p = ModelParams(beta=1e308, gamma=1e308, delta=1e-300)
+    assert g_function(p, SigmoidResponse(0.5, 0.1), 0.6) < 0.0
+
+
 def test_zero_pressure_response_rejected():
     with pytest.raises(ValueError, match="decision pressure"):
         find_equilibria_continuous(

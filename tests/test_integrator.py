@@ -27,8 +27,6 @@ from epiresponse.integrator import (
     TerminationReason,
     Trajectory,
     _no_crossing,
-    _rest_floor,
-    _restless,
     classify_basin,
     dulac_scan,
     energy_E,
@@ -37,6 +35,8 @@ from epiresponse.integrator import (
 )
 from epiresponse.model import (
     ConstantResponse,
+    FieldPoint,
+    FieldSegment,
     ModelParams,
     SigmoidResponse,
     State,
@@ -386,50 +386,39 @@ def test_rest_rule_names_the_nearest_listed_equilibrium(params, spec, starts):
 def test_g_is_the_field_on_the_line_s_equals_delta_over_beta(params, spec, i):
     beta, gamma, delta = params.beta, params.gamma, params.delta
     g = g_function(params, spec, i)
-    assert g == compile_field(params, spec)(delta / beta, i)[0]
     p_sp, p_ps = compile_response(spec)(i)
     terms = (
         -delta * i,
         -(gamma * delta / beta) * p_sp,
         gamma * (1.0 - delta / beta - i) * p_ps,
     )
-    # each term rounds at most three times, each way, and the two sums
-    # once each: the two forms differ by at most ~10 ulps of the terms' size
+    # g evaluates the three terms of its docstring; each rounds at most
+    # three times, each way, and the two sums once each, so any evaluation
+    # of them agrees to ~10 ulps of the terms' size
     assert abs(g - sum(terms)) <= 10 * math.ulp(sum(map(abs, terms)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(params=PARAMS, data=st.data())
-def test_rest_precheck_never_skips_a_rest_that_settle_grants(params, data):
-    """`_restless` skips the rest test only where `field` exceeds eps, so
-    the test could not grant a rest: eps is drawn up to the precheck's own
-    threshold, and i on a knot or L, on a knot's neighbour piece, or inside
-    the piece that holds it."""
+def test_field_strictly_inside_a_piece_is_the_piece_field(params, data):
+    """Strictly inside a `_piece_fields` piece, `field` is that piece's
+    field bit for bit, so `settle` reads the loop's own (fs, fi) there.  On
+    a step's L, `field` is the segment of its two pieces, and
+    `compile_field` takes the lower one."""
     spec = data.draw(st.one_of(RESPONSES, tabulated_responses()))
     pieces = _piece_fields(params, spec)
-    knots = [x0 for x0, _, _ in pieces[1:]]
-    k = data.draw(st.integers(0, len(knots)))
-    x0, x1, rhs = pieces[k]
-    inside = st.floats(x0, x1)
-    i = data.draw(st.one_of(inside, st.sampled_from(knots)) if knots else inside)
+    x0, x1, rhs = data.draw(st.sampled_from(pieces))
+    i = data.draw(st.floats(x0, x1))
     s = data.draw(st.floats(0.0, 1.0)) * (1.0 - i)
-    lo, hi = ([-math.inf] + knots)[k], (knots + [math.inf])[k]
-    fs, fi = rhs(s, i)
-    slack = _rest_floor(params, 0.0)
-    norm = max(abs(fs), abs(fi))
-    exact = field(params, spec, State(s, i)).distance_to_zero()
-    eps = data.draw(
-        st.one_of(
-            st.just(exact),  # the largest eps at which the rest test passes
-            st.floats(1e-12, 1.0),
-            st.floats(1.0, 2.0).map(lambda w: norm - w * slack),
-            st.integers(40, 60).map(lambda n: norm - norm * 2.0**-n),
-        )
-    )
-    if not 0.0 < eps < math.inf:
-        return
-    if _restless(fs, fi, i, lo, hi, _rest_floor(params, eps)):
-        assert exact > eps
+    if x0 < i < x1:
+        assert field(params, spec, State(s, i)) == FieldPoint(*rhs(s, i))
+    if isinstance(spec, StepResponse):
+        (_, _, below), (_, _, above) = pieces
+        i = spec.i_star
+        s = data.draw(st.floats(0.0, 1.0)) * (1.0 - i)
+        ds_hi, di = below(s, i)
+        assert field(params, spec, State(s, i)) == FieldSegment(above(s, i)[0], ds_hi, di)
+        assert compile_field(params, spec)(s, i) == (ds_hi, di)
 
 
 # ------------------------------------------------------- diagnostics E and M

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from epiresponse.integrator import dulac_scan
 from epiresponse.model import (
@@ -19,6 +19,7 @@ from epiresponse.model import (
     compile_response,
     eval_response_selected,
     field,
+    response_pieces,
     response_slopes,
 )
 
@@ -215,6 +216,37 @@ def test_compiled_sigmoid_matches_reference_to_rounding(i_star, eps, i):
     for x in (i, i_star, *_around(i_star - 0.5 * eps), *_around(i_star + 0.5 * eps)):
         p_sp = min(max((x - i_star + 0.5 * eps) / eps, 0.0), 1.0)
         assert resp(x) == pytest.approx((p_sp, 1.0 - p_sp), abs=1e-12, rel=0.0)
+
+
+RESPONSES = st.one_of(
+    st.builds(StepResponse, st.floats(0.01, 1.0)),
+    # i_star < eps/2 puts the ramp's start below 0
+    st.builds(SigmoidResponse, st.floats(0.01, 1.0), st.floats(1e-3, 2.0)),
+    st.builds(ConstantResponse, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    tabulated_responses(),
+)
+
+
+# a segment that ends on 0 from a knot below it, and one from a knot at 1
+@example(TabulatedResponse((-0.3, 0.0, 0.7), (0.0, 0.1, 1.0), (1.0, 0.3, 0.0)))
+@example(TabulatedResponse((0.2, 1.0, 1.25), (0.0, 0.5, 1.0), (1.0, 0.5, 0.0)))
+@example(StepResponse(1.0))
+@example(SigmoidResponse(0.05, 0.3))
+@given(RESPONSES)
+def test_pieces_clip_the_rows_to_the_unit_interval(spec):
+    """`response_pieces` covers [0, 1], adjacent pieces share a bound, and
+    each piece starts with the values `compile_response` gives there, bit
+    for bit; only a step's upper piece starts where the lookup takes the
+    lower one."""
+    pieces = response_pieces(spec)
+    assert pieces[0][0] == 0.0
+    assert pieces[-1][1] == 1.0
+    assert all(x0 <= x1 for x0, x1, *_ in pieces)
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    resp = compile_response(spec)
+    for x0, _, sp0, _, ps0, _ in pieces:
+        if not (isinstance(spec, StepResponse) and x0 == spec.i_star):
+            assert resp(x0) == (sp0, ps0)
 
 
 def test_compile_response_rejects_unknown_spec():
