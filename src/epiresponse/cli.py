@@ -128,32 +128,49 @@ def _write_text(path: str, text: str) -> None:
     print(path)
 
 
-def _row_format(row) -> str:
-    """The ``%`` format of a CSV row shaped like ``row``: ``%.17g`` for a
-    float cell and ``%s`` for any other, which is what `format_value`
-    writes for floats, ints and strings."""
-    return ",".join("%.17g" if isinstance(cell, float) else "%s" for cell in row)
+def _csv_column(cells) -> list[str]:
+    """The CSV text of one column, as `format_value` writes its cells: a
+    float column formats each distinct value once (``%.17g``), keyed by
+    its bit pattern, so 0.0 and -0.0, nan and inf keep their own text;
+    any other column is written with ``str``.  A column holds one type
+    throughout, so its first cell decides."""
+    if isinstance(cells, np.ndarray) or isinstance(cells[0], float):
+        bits, where = np.unique(
+            np.asarray(cells, dtype=np.float64).view(np.int64), return_inverse=True
+        )
+        text = np.array(
+            ["%.17g" % value for value in bits.view(np.float64).tolist()], dtype=object
+        )
+        return text[where].tolist()
+    return [str(cell) for cell in cells]
+
+
+def _csv_text(header, rows) -> str:
+    """``rows`` under ``header`` as CSV text, built column by column;
+    ``rows`` is a sequence of tuples or a 2-D float array."""
+    columns = rows.T if isinstance(rows, np.ndarray) else zip(*rows)
+    lines = [",".join(header), *map(",".join, zip(*map(_csv_column, columns)))]
+    return "\n".join(lines) + "\n"
 
 
 def _write_table(out_dir: str, name: str, header, rows, fmt: str) -> None:
-    """Write ``rows`` under ``header`` as ``name.csv`` or ``name.json``.  A
-    column holds one type throughout, so one row format, taken from the
-    first row, writes every row of the CSV."""
+    """Write ``rows`` under ``header`` as ``name.csv`` or ``name.json``;
+    ``rows`` is a sequence of tuples or a 2-D float array."""
     if fmt == "json":
         payload = {
             "columns": list(header),
-            "rows": [list(row) for row in rows],
+            "rows": (
+                rows.tolist()
+                if isinstance(rows, np.ndarray)
+                else [list(row) for row in rows]
+            ),
         }
         _write_text(
             os.path.join(out_dir, f"{name}.json"),
             json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         )
         return
-    lines = [",".join(header)]
-    if rows:
-        row_format = _row_format(rows[0])
-        lines.extend(row_format % tuple(row) for row in rows)
-    _write_text(os.path.join(out_dir, f"{name}.csv"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, f"{name}.csv"), _csv_text(header, rows))
 
 
 def _grid_count(key: str, count: int, points: int) -> None:
@@ -403,7 +420,7 @@ def cmd_trace(values, args) -> int:
         header.extend((f"s_c{c + 1}", f"i_c{c + 1}"))
     # t, then (s, i) of the aggregate and of each class
     cells = result.mean_fractions[:, :, :2].reshape(len(result.times), -1)
-    rows = np.column_stack([result.times, cells]).tolist()
+    rows = np.column_stack([result.times, cells])
     _write_table(args.out, "trace_avg", tuple(header), rows, args.format)
     return 0
 

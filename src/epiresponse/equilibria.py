@@ -371,21 +371,28 @@ def sliding_normal_form(params: ModelParams, i_star: float) -> SlidingNormalForm
 
 
 def stability_sliding(params: ModelParams, i_star: float) -> StabilityReport:
-    """Stability of the sliding point via the one-sided quantities A+/A-.
+    """Stability of the sliding point via the one-sided quantities A+/A-
+    (`_sliding_report`).  `HypothesisViolated` means that `find_equilibria`
+    lists no X2 to classify."""
+    last = find_equilibria_step(params, i_star)[-1]
+    if last.kind is not EquilibriumKind.SLIDING:
+        raise HypothesisViolated(
+            f"no sliding point at i_star = {i_star}: {last.kind.value} is listed last"
+        )
+    return _sliding_report(params, i_star)
+
+
+def _sliding_report(params: ModelParams, i_star: float) -> StabilityReport:
+    """Stability of the sliding point X2 on L = {i == i_star}, which the
+    caller has found listed:
 
         A+- = (2/3) * ((P_x + Q_y)/P - Q_xx/(2*Q_x))   at the origin,
 
     evaluated with the respective one-sided P; here Q_y = Q_xx = 0.  The
     point is asymptotically stable iff A+ - A- < 0, given P-(0,0) < 0 <
     P+(0,0); where either is 0 (X1 = X2, or underflow) the verdict is
-    BOUNDARY, without A+-.  `HypothesisViolated` means that
-    `find_equilibria` lists no X2 to classify.
+    BOUNDARY, without A+-.
     """
-    last = find_equilibria_step(params, i_star)[-1]
-    if last.kind is not EquilibriumKind.SLIDING:
-        raise HypothesisViolated(
-            f"no sliding point at i_star = {i_star}: {last.kind.value} is listed last"
-        )
     nf = sliding_normal_form(params, i_star)
     if nf.p_minus_0 == 0.0 or nf.p_plus_0 == 0.0:
         return StabilityReport(verdict=Verdict.BOUNDARY)

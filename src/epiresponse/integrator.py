@@ -21,9 +21,10 @@ the rest test.  Around an asymptotically stable sliding point the flow is
 a fused focus: the crossings accumulate, and the crossing radius
 r = |s - s_slide| obeys 1/r -> 1/r + |A+ - A-| per loop (Filippov 1988;
 Kuznetsov, Rinaldi & Gragnani 2003), so no finite-step method reaches the
-point in finite time.  When `stability_sliding` certifies the point,
-capture takes each crossing's per-loop gain 1/r - 1/r_prev against the
-last crossing on the same side of L.  Once `LOOP_COUNT` consecutive
+point in finite time.  When A+ and A- (`equilibria._sliding_report`, on
+the X2 that `find_equilibria` listed) certify the point, capture takes
+each crossing's per-loop gain 1/r - 1/r_prev against the last crossing
+on the same side of L.  Once `LOOP_COUNT` consecutive
 crossings each have a gain within relative `LOOP_TOL` of |A+ - A-| and a
 radius below the crossing before, the spiral follows its normal form and
 the run ends *at* the sliding point.  This truncation of the infinite
@@ -43,8 +44,9 @@ from .equilibria import (
     EquilibriumKind,
     Verdict,
     _endemic_i_step,
+    _sliding_report,
     find_equilibria,
-    stability_sliding,
+    stability_sliding,  # noqa: F401 -- bench/tracing.py wraps this name here
 )
 from .model import (
     DOMAIN_SLACK,
@@ -373,7 +375,7 @@ def integrate(
     )
     capture_armed = False
     if cfg.capture_spiral and sliding_eq is not None:
-        report = stability_sliding(params, spec.i_star)
+        report = _sliding_report(params, spec.i_star)
         capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
         if capture_armed:
             loop_gain = report.a_minus - report.a_plus  # = |A+ - A-|

@@ -38,10 +38,12 @@ MAX_GRID_POINTS = 10**6
 
 # Expected clock events a run may draw; at the cap a run takes about a
 # minute.  The jump process takes ~0.2 us an event at n = 10^4 (~0.35 us
-# at n <= 1000) and trace replay ~0.22 us on a long run (~0.47 us on the
-# 41-node bench trace, contacts and grid sampling included; 2-core x86
-# host, Python 3.11); both log 8 bytes per realized jump (at most 0.8 GB
-# at the cap) and hold one clock block at a time.
+# at n <= 1000) and trace replay ~0.22 us on a long run (~0.32 us on the
+# 41-node bench trace, contacts and grid sampling included: a run there
+# makes ~1,700 jumps on a 10^4-point grid, and `counts_on_grid` takes
+# ~0.25 ms of it; 2-core x86 host, Python 3.11); both log 8 bytes per
+# realized jump (at most 0.8 GB at the cap) and hold one clock block at
+# a time.
 MAX_CLOCK_EVENTS = 10**8
 
 # The fixed cost of one run, ~0.2 ms, in events of a short run (~0.4 us):
@@ -113,14 +115,35 @@ def counts_on_grid(initial, jumps, logs, grid) -> np.ndarray:
     times of the jumps that add row k of the (n_codes, m) jump table
     ``jumps``.  Row r of the result includes every jump with time <=
     ``grid[r]``; jumps after the last grid time are dropped.  A log need
-    not be sorted.  Beyond one index per logged jump, memory is
-    O(len(grid) * n_codes), whatever the number of jumps.
+    not be sorted.
+
+    A jump lands in cell r, the first grid row that includes it.  With no
+    more jumps than grid points, the jumps are sorted by cell, the state
+    after each is summed up, and each state is repeated over the rows up
+    to the next jump's cell.  With more, each log is counted per cell
+    (`np.bincount`), its jump row is added into per-column deltas, and one
+    contiguous `np.cumsum` per column accumulates them.  Either way the
+    arithmetic is on the jumps or on the grid, whichever is smaller, and
+    beyond one index per jump the memory is O(len(grid) * m).
     """
     jumps = np.asarray(jumps, dtype=np.int64)
-    cum = np.zeros((grid.size, len(jumps)), dtype=np.int64)
-    for k, log in enumerate(logs):
-        per_cell = np.bincount(np.searchsorted(grid, log), minlength=grid.size + 1)
-        np.cumsum(per_cell[:-1], out=cum[:, k])
-    counts = cum @ jumps
-    counts += np.asarray(initial, dtype=np.int64)
-    return counts
+    initial = np.asarray(initial, dtype=np.int64)
+    cells = [np.searchsorted(grid, log) for log in logs]
+    sizes = [where.size for where in cells]
+    if sum(sizes) <= grid.size:
+        where = np.concatenate(cells)
+        order = np.argsort(where)
+        states = np.empty((where.size + 1, initial.size), dtype=np.int64)
+        states[0] = initial
+        states[1:] = jumps[np.repeat(np.arange(len(sizes)), sizes)[order]]
+        np.cumsum(states, axis=0, out=states)
+        held = np.diff(where[order], prepend=0, append=grid.size)
+        return np.repeat(states, held, axis=0)
+    delta = np.zeros((initial.size, grid.size + 1), dtype=np.int64)
+    delta[:, 0] = initial
+    for row, where in zip(jumps, cells):
+        per_cell = np.bincount(where, minlength=grid.size + 1)
+        for c in np.flatnonzero(row):
+            delta[c] += row[c] * per_cell
+    np.cumsum(delta, axis=1, out=delta)
+    return np.ascontiguousarray(delta[:, :-1].T)

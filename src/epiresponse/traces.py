@@ -33,6 +33,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -101,9 +102,11 @@ class ContactTrace:
 
     @classmethod
     def from_contacts(cls, contacts) -> "ContactTrace":
+        """Sort ``contacts`` (`Contact` records, or 4-tuples made into them)
+        by (t_start, t_end, a, b) into a trace."""
         recs = sorted(
-            (Contact(*c) for c in contacts),
-            key=lambda c: (c.t_start, c.t_end, c.a, c.b),
+            (c if type(c) is Contact else Contact(*c) for c in contacts),
+            key=itemgetter(2, 3, 0, 1),
         )
         if not recs:
             raise EmptyTraceError("trace has no contacts")
@@ -270,6 +273,18 @@ def response_table(spec, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return p_sp, p_ps
 
 
+def _class_moves(n_classes: int) -> np.ndarray:
+    """The jump table of replay's logs, shape (4 * n_classes, 3 * (1 +
+    n_classes)): an agent of class c logs move k of `sampling.MOVES`
+    under code 4 * c + k, which moves one agent in the aggregate (S, I, P)
+    columns and in those of its class."""
+    jumps = np.zeros((4 * n_classes, 1 + n_classes, 3), dtype=np.int64)
+    for c in range(n_classes):
+        jumps[4 * c : 4 * c + 4, 0] = MOVES
+        jumps[4 * c : 4 * c + 4, 1 + c] = MOVES
+    return jumps.reshape(4 * n_classes, -1)
+
+
 def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> TraceResult:
     """Monte-Carlo replay of ``trace`` under ``exp``; run k draws its
     clock from `sampling.clock_blocks` with the substream (seed, k).  An
@@ -331,14 +346,9 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     p_sp_of = [tables[c][0] for c in class_of]
     p_ps_of = [tables[c][1] for c in class_of]
 
-    # Agent j's transitions are logged under code 4 * class_of[j] + move;
-    # each code moves one agent in the aggregate and in its class.
+    # Agent j's transitions are logged under code 4 * class_of[j] + move.
     code_base = [4 * c for c in class_of]
-    jumps = np.zeros((4 * n_classes, 1 + n_classes, 3), dtype=np.int64)
-    for c in range(n_classes):
-        jumps[4 * c : 4 * c + 4, 0] = MOVES
-        jumps[4 * c : 4 * c + 4, 1 + c] = MOVES
-    jumps = jumps.reshape(4 * n_classes, -1)
+    jumps = _class_moves(n_classes)
     initial = np.zeros((1 + n_classes, 3), dtype=np.int64)
     np.add.at(initial, (np.add(class_of, 1), init_state), 1)
     initial[0] = initial[1:].sum(axis=0)

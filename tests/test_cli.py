@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiresponse import integrator
-from epiresponse.cli import _row_format, main
+from epiresponse.cli import _csv_text, main
 from epiresponse.config import format_value
 from epiresponse.equilibria import equilibrium_infection_vs_gamma, find_equilibria
 from epiresponse.model import (
@@ -736,11 +736,12 @@ def test_a_run_of_full_clock_blocks_keeps_its_stream(tmp_path):
     assert digest == "54dd4f24a59bbd0eecc8fd83414e695f1bb46bdddfc810f39e1f8485844692b1"
 
 
-# ----------------------------------------------------------------- CSV rows
+# ---------------------------------------------------------------- CSV tables
 
-CELLS = st.one_of(
+CELL_KINDS = (
     st.floats(),  # nan, +-inf and subnormals included
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310]),
+    st.sampled_from([0.0, -0.0]),  # one column holds both zeros
     st.floats(1e16, 1e17),
     st.floats(-1e17, -1e16),
     st.integers(-(2**70), 2**70),
@@ -748,10 +749,55 @@ CELLS = st.one_of(
 )
 
 
-@given(row=st.lists(CELLS, min_size=1, max_size=8))
-def test_row_format_writes_what_format_value_writes(row):
-    want = ",".join(format_value(cell) for cell in row)
-    assert _row_format(row) % tuple(row) == want
+@st.composite
+def tables(draw):
+    """A header and rows whose columns each hold one kind of cell; drawing
+    half the cells from a small pool makes values repeat in a column."""
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(CELL_KINDS), min_size=1, max_size=8)):
+        pool = st.sampled_from(draw(st.lists(kind, min_size=1, max_size=3)))
+        cells = st.one_of(kind, pool)
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    return header, list(zip(*columns))
+
+
+def format_value_table(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@given(tables())
+def test_csv_writer_writes_what_format_value_writes(table):
+    header, rows = table
+    want = format_value_table(header, rows)
+    assert _csv_text(header, rows) == want
+    if rows and all(isinstance(cell, float) for cell in rows[0]):
+        # cmd_trace hands over its float array as it is
+        assert _csv_text(header, np.array(rows, dtype=np.float64)) == want
+
+
+def test_csv_writer_keeps_each_float_bit_pattern_apart():
+    rows = [
+        (0.0, 1, "sliding", 5e-324),
+        (-0.0, 1, "sliding", -5e-324),
+        (math.nan, -(2**70), "t_max", 0.1),
+        (math.inf, 2, "sliding", 0.1),
+        (-math.inf, 2, "t_max", 5e-324),
+        (0.0, 3, "sliding", 2.2250738585072014e-308),
+    ]
+    header = ("a", "b", "c", "d")
+    text = _csv_text(header, rows)
+    assert text == format_value_table(header, rows)
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+        "0", "-0", "nan", "inf", "-inf", "0"
+    ]
+    floats = np.array([(a, d) for a, _, _, d in rows])
+    assert _csv_text(("a", "d"), floats) == format_value_table(
+        ("a", "d"), [(a, d) for a, _, _, d in rows]
+    )
 
 
 # --------------------------------------------------------------------- seeds

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from epiresponse import integrator
+from epiresponse import equilibria as equilibria_module, integrator
 from epiresponse.equilibria import (
     Equilibrium,
     EquilibriumKind,
@@ -522,6 +522,25 @@ def test_capture_terminates_exactly_at_sliding_point():
     assert kinds[-2:] == [EventKind.HIT_SLIDING, EventKind.REACHED_EQUILIBRIUM]
     assert traj.final_time < 30.0
     assert traj.equilibrium == find_equilibria(FIG, StepResponse(0.2))[-1]
+
+
+def test_a_captured_run_solves_its_equilibria_once(monkeypatch):
+    """integrate classifies the X2 that find_equilibria listed; only the
+    public stability_sliding solves again, to check that X2 exists."""
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return find_equilibria(*args)
+
+    monkeypatch.setattr(equilibria_module, "find_equilibria", counted)
+    monkeypatch.setattr(integrator, "find_equilibria", counted)
+    traj = integrate(FIG, StepResponse(0.2), State(0.9, 0.05))
+    assert traj.equilibrium.kind is EquilibriumKind.SLIDING
+    assert [kind for _, kind in traj.events][-2] is EventKind.HIT_SLIDING
+    assert len(solves) == 1
+    stability_sliding(FIG, 0.2)
+    assert len(solves) == 2
 
 
 def loop_gain(params, i_star):

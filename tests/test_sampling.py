@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,11 +7,18 @@ from hypothesis import given, strategies as st
 from epiresponse.model import ClassSpec, StepResponse
 from epiresponse.sampling import (
     MAX_GRID_POINTS,
+    MOVES,
     clock_blocks,
     counts_on_grid,
     uniform_grid,
 )
-from epiresponse.traces import Contact, ContactTrace, TraceExperiment, run_trace_experiment
+from epiresponse.traces import (
+    Contact,
+    ContactTrace,
+    TraceExperiment,
+    _class_moves,
+    run_trace_experiment,
+)
 
 
 def naive_counts(initial, jumps, times, codes, grid):
@@ -80,6 +89,61 @@ def test_counts_on_grid_equals_row_by_row_replay(log, rnd):
         grid,
     )
     np.testing.assert_array_equal(shuffled, expected)
+
+
+def brute_counts(initial, jumps, logs, grid):
+    """At each grid time, count in every log the jumps at or before it."""
+    jumps = np.asarray(jumps, dtype=np.int64)
+    rows = []
+    for g in grid:
+        state = np.array(initial, dtype=np.int64)
+        for row, log in zip(jumps, logs):
+            state += sum(1 for t in log if t <= g) * row
+        rows.append(state)
+    return np.array(rows)
+
+
+JUMP_TABLES = {
+    "ctmc": st.just(np.array(MOVES)),
+    "traces": st.integers(1, 3).map(_class_moves),
+    "random": st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=6
+        )
+    ).map(np.array),
+}
+
+
+@st.composite
+def grid_logs(draw, table, many):
+    """Unsorted logs on a uniform grid, with no more jumps than grid points
+    (``many`` False) or more: times on grid points, between them, before
+    the first and past the last, and logs left empty."""
+    jumps = draw(JUMP_TABLES[table])
+    dt = draw(st.sampled_from([0.5, 1.0, 60.0, 97.3]))
+    grid = uniform_grid(draw(st.integers(0, 15)) * dt, dt)
+    lo, hi = (grid.size + 1, grid.size + 40) if many else (0, grid.size)
+    total = draw(st.integers(lo, hi))
+    when = st.one_of(
+        st.sampled_from(grid.tolist()),
+        st.floats(-dt, float(grid[-1]) + 2 * dt),
+    )
+    logs = [[] for _ in jumps]
+    for _ in range(total):
+        logs[draw(st.integers(0, len(jumps) - 1))].append(draw(when))
+    m = jumps.shape[1]
+    initial = draw(st.lists(st.integers(-50, 50), min_size=m, max_size=m))
+    return initial, jumps, logs, grid
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["few_jumps", "many_jumps"])
+@pytest.mark.parametrize("table", sorted(JUMP_TABLES))
+@given(data=st.data())
+def test_counts_on_grid_counts_every_jump_at_or_before_each_grid_time(table, many, data):
+    initial, jumps, logs, grid = data.draw(grid_logs(table, many))
+    got = counts_on_grid(initial, jumps, [array("d", log) for log in logs], grid)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, brute_counts(initial, jumps, logs, grid))
 
 
 def test_counts_on_grid_edges():

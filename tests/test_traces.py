@@ -69,6 +69,15 @@ def test_parse_sorts_and_skips_noise():
     assert trace.contacts[1] == Contact(1, 2, 5.0, 6.0)
 
 
+def test_from_contacts_sorts_the_records_it_is_given():
+    late, early = Contact(1, 2, 5.0, 6.0), Contact(0, 1, 1.0, 1.0)
+    trace = ContactTrace.from_contacts([late, (0, 2, 3.0, 4.0), early])
+    assert trace.contacts[0] is early and trace.contacts[2] is late
+    # a plain tuple becomes a record
+    assert type(trace.contacts[1]) is Contact
+    assert trace.contacts[1] == Contact(0, 2, 3.0, 4.0)
+
+
 def test_parse_accepts_iterables_of_lines():
     trace = parse_trace(iter(["0,1,1.5,2.5", "1,2,0,1"]))
     assert trace.duration == 2.5
