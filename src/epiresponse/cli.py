@@ -185,11 +185,12 @@ def _grid_count(key: str, count: int, points: int) -> None:
         )
 
 
-def _axis(grid_n: int, key: str) -> list[float]:
-    """``grid_n`` evenly spaced points on [0, 1]; the grid built on it is the
-    triangle s + i <= 1, about grid_n**2 / 2 points."""
+def _triangle(grid_n: int, key: str) -> list[tuple[float, float]]:
+    """The points (s, i) with s + i <= 1 of the square grid of ``grid_n``
+    evenly spaced values on [0, 1] each way, about grid_n**2 / 2 of them."""
     _grid_count(key, grid_n, grid_n * (grid_n + 1) // 2)
-    return np.linspace(0.0, 1.0, grid_n).tolist()
+    axis = np.linspace(0.0, 1.0, grid_n).tolist()
+    return [(s, i) for s in axis for i in axis if s + i <= 1.0 + 1e-12]
 
 
 def _stability_entry(params, spec, eq):
@@ -253,7 +254,7 @@ def cmd_integrate(values, args) -> int:
     spec = build_response(values)
     x0 = _start(values)
     if args.vector_field:
-        axis = _axis(values["field_grid_n"], "field_grid_n")
+        points = _triangle(values["field_grid_n"], "field_grid_n")
     traj = integrate(params, spec, x0, IntegratorConfig(**_pick(values, _TOL)))
     rows = [(t, s, i, 1.0 - s - i) for t, (s, i) in zip(traj.times, traj.states)]
     _write_table(args.out, "trajectory", ("t", "s", "i", "p"), rows, args.format)
@@ -261,9 +262,7 @@ def cmd_integrate(values, args) -> int:
     _write_table(args.out, "events", ("t", "event"), event_rows, args.format)
     if args.vector_field:
         rhs = compile_field(params, spec)
-        field_rows = [
-            (s, i, *rhs(s, i)) for s in axis for i in axis if s + i <= 1.0 + 1e-12
-        ]
+        field_rows = [(s, i, *rhs(s, i)) for s, i in points]
         _write_table(
             args.out, "field", ("s", "i", "ds", "di"), field_rows, args.format
         )
@@ -274,8 +273,7 @@ def cmd_integrate(values, args) -> int:
 def cmd_basin(values, args) -> int:
     params = ModelParams(**_pick(values, _MODEL))
     spec = build_response(values)
-    axis = _axis(values["grid_n"], "grid_n")
-    starts = [State(s, i) for s in axis for i in axis if s + i <= 1.0 + 1e-12]
+    starts = [State(s, i) for s, i in _triangle(values["grid_n"], "grid_n")]
     cfg = IntegratorConfig(**_pick(values, _TOL))
     labels = classify_basin(params, spec, starts, cfg)
     rows = [

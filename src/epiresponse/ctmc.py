@@ -18,17 +18,14 @@ aggregate rate exact).  Agents are exchangeable here, so only the counts
 (n_S, n_I, n_P) evolve; per-agent identity matters only for the
 contact-trace engine, which has its own machinery.
 
-A run draws trace replay's clock in numpy blocks (`sampling.clock_blocks`),
-logs the time of every realized jump, one log per row of `sampling.MOVES`,
-and samples the logs on the grid with `sampling.counts_on_grid`; the
-transition tallies and occupation integrals follow from the same logs.
-At n >= 1000 it drops in numpy each event that is a no-op for every state
-within n // 40 agents of its window's start state, and passes the rest,
-in order, to the exact per-event tests: same stream, same jumps.
-
-The response is evaluated through `model.compile_response`, a lookup on
-the response's one row table; at a step threshold it takes the canonical
-selection (p_SP, p_PS) = (0, 1).
+A run shares trace replay's clock (`sampling.clock_blocks`) and response
+table (`sampling.response_table`, which holds the canonical selection
+(p_SP, p_PS) = (0, 1) at a step threshold), and logs its jumps in time
+order, one log per row of `sampling.MOVES`, for `sampling.counts_on_grid`;
+the transition tallies and occupation integrals follow from the same
+logs.  At n >= 1000 it drops in numpy each event that is a no-op for
+every state within n // 40 agents of its window's start state, and passes
+the rest, in order, to the exact per-event tests: same stream, same jumps.
 """
 
 import math
@@ -38,13 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import IntegratorConfig, integrate
-from .model import (
-    ModelParams,
-    ResponseSpec,
-    State,
-    compile_response,
+from .model import ModelParams, ResponseSpec, State
+from .sampling import (
+    MOVES,
+    TABLE_EVENTS,
+    check_work,
+    clock_blocks,
+    counts_on_grid,
+    response_table,
+    uniform_grid,
 )
-from .sampling import MOVES, check_work, clock_blocks, counts_on_grid, uniform_grid
 
 __all__ = [
     "AgentPopulation",
@@ -146,26 +146,26 @@ def simulate_ctmc(
 
     ``seed`` seeds the clock, `sampling.clock_blocks`; identical seed and
     arguments give a bit-identical run.  A run expecting more than
-    `sampling.MAX_CLOCK_EVENTS` clock events, or a grid of more than
-    `sampling.MAX_GRID_POINTS`, is refused before anything is drawn.
+    `sampling.MAX_CLOCK_EVENTS` clock events, its table counted, or a grid
+    of more than `sampling.MAX_GRID_POINTS`, is refused before anything is
+    built.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if not (sample_dt > 0.0 and math.isfinite(sample_dt)):
         raise ValueError("sample_dt must be positive and finite")
     beta, gamma, delta = params.beta, params.gamma, params.delta
-    resp = compile_response(spec)
     n = pop0.n
     n_s, n_i, _ = pop0.counts
     total = beta + gamma + delta
     lam = n * total
     if math.isinf(lam):  # the clock would never advance
         raise ValueError("total event rate n * (beta + gamma + delta) overflows")
-    check_work("n * (beta + gamma + delta) * t_max", lam * t_max)
+    check_work("n * (beta + gamma + delta) * t_max", n * (total * t_max + TABLE_EVENTS))
     grid = uniform_grid(t_max, sample_dt)
     p_meet = beta / total
     p_meet_update = (beta + gamma) / total
-    inv_n = 1.0 / n
+    p_sp, p_ps = response_table(spec, n)
 
     logs = tuple(array("d") for _ in MOVES)
     infect, protect, unprotect, recover = (log.append for log in logs)
@@ -187,10 +187,10 @@ def simulate_ctmc(
                 w = slice(start, start + 8 * margin)
                 init, v1, v3 = inits[w], u1[w], u3[w]
                 if_s = init <= n_s + margin
-                p_sp = v3 < resp(min(n_i + margin, n) * inv_n)[0] + 1e-12
-                p_ps = v3 < resp(max(n_i - margin, 0) * inv_n)[1] + 1e-12
+                may_sp = v3 < p_sp[min(n_i + margin, n)] + 1e-12
+                may_ps = v3 < p_ps[max(n_i - margin, 0)] + 1e-12
                 meet = if_s & (v3 * (n - 1) <= n_i + margin)
-                update = if_s & p_sp | (init >= n_s + n_i - margin) & p_ps
+                update = if_s & may_sp | (init >= n_s + n_i - margin) & may_ps
                 recovery = (init >= n_s - margin) & (init <= n_s + n_i + margin)
                 keep = np.where(v1 < p_meet_update, update, recovery)
                 keep = np.where(v1 < p_meet, meet, keep)
@@ -206,11 +206,11 @@ def simulate_ctmc(
                         infect(te)
                 elif v1 < p_meet_update:
                     if init < n_s:
-                        if v3 < resp(n_i * inv_n)[0]:
+                        if v3 < p_sp[n_i]:
                             n_s -= 1
                             protect(te)
                     elif init >= n_s + n_i:
-                        if v3 < resp(n_i * inv_n)[1]:
+                        if v3 < p_ps[n_i]:
                             n_s += 1
                             unprotect(te)
                 elif n_s <= init < n_s + n_i:
@@ -233,12 +233,6 @@ def simulate_ctmc(
         clock_events=drawn,
         passed_events=passed,
     )
-
-
-def _reference_on_grid(params, spec, x0, grid, t_max):
-    cfg = IntegratorConfig(t_max=t_max, store_samples=False)
-    traj = integrate(params, spec, x0, cfg)
-    return traj.evaluate(np.minimum(grid, traj.final_time))
 
 
 def sup_error(run: SimRun, reference: np.ndarray) -> float:
@@ -267,8 +261,8 @@ def convergence_study(
     error(n_last) < error(n_first) once n_last >= 100 * n_first.
 
     A study whose runs together cost more than `sampling.MAX_CLOCK_EVENTS`
-    (`sampling.check_work`: clock events, grid points and a fixed cost per
-    run) is refused before the reference flow is integrated.
+    (`sampling.check_work`: clock events, grid points, table counts and a
+    fixed cost per run) is refused before the reference flow is integrated.
     """
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -281,10 +275,11 @@ def convergence_study(
     grid = uniform_grid(t_max, sample_dt)
     check_work(
         f"runs_per_n = {runs_per_n} runs for each n in n_list = {n_list}",
-        runs_per_n * sum(n * total * t_max + grid.size for n in n_list),
+        runs_per_n * sum(n * (total * t_max + TABLE_EVENTS) + grid.size for n in n_list),
         runs_per_n * len(n_list),
     )
-    reference = _reference_on_grid(params, spec, x0, grid, t_max)
+    traj = integrate(params, spec, x0, IntegratorConfig(t_max=t_max, store_samples=False))
+    reference = traj.evaluate(np.minimum(grid, traj.final_time))
     rows = []
     for n in n_list:
         pop0 = AgentPopulation.from_fractions(n, x0.s, x0.i)

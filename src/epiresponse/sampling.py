@@ -1,27 +1,32 @@
-"""Uniform sample grids, the move table and the event-log -> grid sampler.
+"""Sample grids, moves, response tables and the event-log -> grid sampler.
 
 A stochastic run changes its state only at jump times.  Instead of
 building one row per grid point while it runs, an engine appends the time
-of every realized jump to the log of its move code and turns the logs
-into grid samples once, afterwards: the state at grid time ``g`` includes
-every jump at or before ``g``.  Both stochastic engines (`ctmc` and
-`traces`) log the moves of `MOVES` this way and share the work budgets
-and the agents' clock, `clock_blocks`: each reads the clock's numpy
-blocks, prepares what it can per block in numpy and loops in Python only
-over the events whose outcome depends on the state.
+of every realized jump to the log of its move code, in time order, and
+turns the logs into grid samples once, afterwards: the state at grid time
+``g`` includes every jump at or before ``g``.  Both stochastic engines
+(`ctmc` and `traces`) log the moves of `MOVES` this way, read the response
+at infected count k of n from one `response_table`, and share the work
+budgets and the agents' clock, `clock_blocks`: each reads the clock's
+numpy blocks, prepares what it can per block in numpy and loops in Python
+only over the events whose outcome depends on the state.
 """
 
 import math
 
 import numpy as np
 
+from .model import compile_response
+
 __all__ = [
     "MAX_CLOCK_EVENTS",
     "MAX_GRID_POINTS",
     "MOVES",
     "RUN_EVENTS",
+    "TABLE_EVENTS",
     "check_work",
     "clock_blocks",
+    "response_table",
     "uniform_grid",
     "counts_on_grid",
 ]
@@ -43,17 +48,22 @@ MAX_GRID_POINTS = 10**6
 # makes ~1,700 jumps on a 10^4-point grid, and `counts_on_grid` takes
 # ~0.25 ms of it; 2-core x86 host, Python 3.11); both log 8 bytes per
 # realized jump (at most 0.8 GB at the cap) and hold one clock block at
-# a time.
+# a time.  A `response_table` holds 16 (flat) to 64 (sloped) bytes a count,
+# 80-184 while it is built, at 0.5-1 us a count.
 MAX_CLOCK_EVENTS = 10**8
 
 # The fixed cost of one run, ~0.2 ms, in events of a short run (~0.4 us):
 # charged per run, it bounds many short runs as `MAX_CLOCK_EVENTS` bounds long ones.
 RUN_EVENTS = 500
 
+# Events charged per table count: its 184 peak bytes at 8 logged bytes an event.
+TABLE_EVENTS = 24
+
 
 def check_work(what: str, events: float, runs: int = 0) -> None:
     """Refuse, naming ``what``, work past `MAX_CLOCK_EVENTS`: ``events`` clock
-    events (a contact or a grid point counts as one), `RUN_EVENTS` a run."""
+    events (a contact or a grid point counts as one, a table count as
+    `TABLE_EVENTS`), `RUN_EVENTS` a run."""
     work = events + runs * RUN_EVENTS
     if not work <= MAX_CLOCK_EVENTS:
         raise ValueError(
@@ -108,42 +118,42 @@ def uniform_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(int(math.floor(steps)) + 1) * dt
 
 
+def response_table(spec, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(p_sp, p_ps)`` of ``spec`` at every infected count k = 0..n of n
+    agents: the floats `compile_response` returns at ``k * (1.0 / n)``.
+    A caller charges `TABLE_EVENTS` a count to `check_work`."""
+    resp, inv_n = compile_response(spec), 1.0 / n
+    p_sp, p_ps = zip(*(resp(k * inv_n) for k in range(n + 1)))
+    return p_sp, p_ps
+
+
 def counts_on_grid(initial, jumps, logs, grid) -> np.ndarray:
     """Integer state at every time of ``grid`` (sorted ascending).
 
     The state starts at ``initial`` (length m); ``logs[k]`` holds the
-    times of the jumps that add row k of the (n_codes, m) jump table
-    ``jumps``.  Row r of the result includes every jump with time <=
-    ``grid[r]``; jumps after the last grid time are dropped.  A log need
-    not be sorted.
+    ascending times of the jumps that add row k of the (n_codes, m) jump
+    table ``jumps``.  Row r of the result includes every jump with time <=
+    ``grid[r]``; jumps after the last grid time are dropped.
 
-    A jump lands in cell r, the first grid row that includes it.  With no
-    more jumps than grid points, the jumps are sorted by cell, the state
+    With more jumps than grid points, the number of each log's jumps at or
+    before every grid time (`np.searchsorted`) times the jump table is
+    added to ``initial``.  With no more, a jump lands in cell r, the first
+    grid row that includes it: the jumps are sorted by cell, the state
     after each is summed up, and each state is repeated over the rows up
-    to the next jump's cell.  With more, each log is counted per cell
-    (`np.bincount`), its jump row is added into per-column deltas, and one
-    contiguous `np.cumsum` per column accumulates them.  Either way the
-    arithmetic is on the jumps or on the grid, whichever is smaller, and
-    beyond one index per jump the memory is O(len(grid) * m).
+    to the next jump's cell.  Either way the work is on the jumps or on the
+    grid, whichever is smaller, and the memory O(len(grid) * (n_codes + m)).
     """
     jumps = np.asarray(jumps, dtype=np.int64)
     initial = np.asarray(initial, dtype=np.int64)
-    cells = [np.searchsorted(grid, log) for log in logs]
-    sizes = [where.size for where in cells]
-    if sum(sizes) <= grid.size:
-        where = np.concatenate(cells)
-        order = np.argsort(where)
-        states = np.empty((where.size + 1, initial.size), dtype=np.int64)
-        states[0] = initial
-        states[1:] = jumps[np.repeat(np.arange(len(sizes)), sizes)[order]]
-        np.cumsum(states, axis=0, out=states)
-        held = np.diff(where[order], prepend=0, append=grid.size)
-        return np.repeat(states, held, axis=0)
-    delta = np.zeros((initial.size, grid.size + 1), dtype=np.int64)
-    delta[:, 0] = initial
-    for row, where in zip(jumps, cells):
-        per_cell = np.bincount(where, minlength=grid.size + 1)
-        for c in np.flatnonzero(row):
-            delta[c] += row[c] * per_cell
-    np.cumsum(delta, axis=1, out=delta)
-    return np.ascontiguousarray(delta[:, :-1].T)
+    sizes = [len(log) for log in logs]
+    if sum(sizes) > grid.size:
+        seen = np.column_stack([np.searchsorted(log, grid, side="right") for log in logs])
+        return initial + seen @ jumps
+    where = np.concatenate([np.searchsorted(grid, log) for log in logs])
+    order = np.argsort(where)
+    states = np.empty((where.size + 1, initial.size), dtype=np.int64)
+    states[0] = initial
+    states[1:] = jumps[np.repeat(np.arange(len(sizes)), sizes)[order]]
+    np.cumsum(states, axis=0, out=states)
+    held = np.diff(where[order], prepend=0, append=grid.size)
+    return np.repeat(states, held, axis=0)

@@ -17,16 +17,15 @@ priority over clock events; clock times are continuous so clock/clock
 ties do not occur.
 
 A class response only ever reads the infected fraction k / n, so each is
-tabulated once per experiment (`response_table`) at every infected count
-k, from `model.compile_response`, a lookup on the response's row table;
-replay looks the tables up.  A run reads its
-clock in the numpy blocks of `sampling.clock_blocks`: per block, numpy
-turns the uniforms into agents and event types and finds, for each
-event, how many contacts start at or before it; the per-event loop then
-applies only the state-dependent tests.  A run tracks only the agents'
-states and the infected count; it logs the time of every transition, one
-log per class and move of `sampling.MOVES`, and `sampling.counts_on_grid`
-turns the logs into aggregate and per-class samples once the run is over.
+tabulated once per experiment in the table the jump process reads too,
+`sampling.response_table`.  A run reads its clock in the numpy blocks of
+`sampling.clock_blocks`: per block, numpy turns the uniforms into agents
+and event types and finds, for each event, how many contacts start at or
+before it; the per-event loop then applies only the state-dependent
+tests.  A run tracks only the agents' states and the infected count; it
+logs each transition in time order, one log per class and move of
+`sampling.MOVES`, which `sampling.counts_on_grid` turns into aggregate
+and per-class samples once the run is over.
 """
 
 import math
@@ -38,8 +37,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ClassSpec, compile_response
-from .sampling import MOVES, check_work, clock_blocks, counts_on_grid, uniform_grid
+from .model import ClassSpec
+from .sampling import (
+    MOVES,
+    check_work,
+    clock_blocks,
+    counts_on_grid,
+    response_table,
+    uniform_grid,
+)
 
 __all__ = [
     "Contact",
@@ -264,15 +270,6 @@ class TraceResult:
         return frozenset(nid for nid, hit in zip(self.node_ids, mask) if hit)
 
 
-def response_table(spec, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``(p_sp, p_ps)`` of ``spec`` at every infected count k = 0..n of n
-    agents: a response only ever reads k / n, so replay looks it up.  Each
-    entry is the float `compile_response` returns at ``k * (1.0 / n)``."""
-    resp, inv_n = compile_response(spec), 1.0 / n
-    p_sp, p_ps = zip(*(resp(k * inv_n) for k in range(n + 1)))
-    return p_sp, p_ps
-
-
 def _class_moves(n_classes: int) -> np.ndarray:
     """The jump table of replay's logs, shape (4 * n_classes, 3 * (1 +
     n_classes)): an agent of class c logs move k of `sampling.MOVES`
@@ -339,7 +336,6 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     c_times = np.array([c.t_start for c in trace.contacts])
 
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
-    inv_n = 1.0 / n
 
     # Agent j reads its class's response tables at the infected count.
     tables = [response_table(c.response, n) for c in exp.classes]
@@ -409,7 +405,7 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
             grid.size, 1 + n_classes, 3
         )
         samples = np.empty(counts.shape)
-        samples[:, 0] = counts[:, 0] * inv_n
+        samples[:, 0] = counts[:, 0] * (1.0 / n)
         samples[:, 1:] = counts[:, 1:] / sizes
         grid_sum += samples
         per_run_avg[run] = samples[cut_idx:].mean(axis=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epiresponse import ctmc
+from epiresponse import ctmc, sampling
 from epiresponse.ctmc import (
     AgentPopulation,
     SimRun,
@@ -277,6 +277,25 @@ def test_convergence_study_admits_a_thousand_short_runs_per_n(monkeypatch):
         )
 
 
+def test_the_response_table_is_charged_to_the_work_budget(monkeypatch):
+    # n = 2e5 agents expect 50 clock events by t_max = 1e-4, but a table
+    # of n + 1 counts is past the budget and is refused before it is built
+    monkeypatch.setattr(sampling, "MAX_CLOCK_EVENTS", 10**5)
+
+    def no_table(spec, n):
+        raise AssertionError(f"a table of {n + 1} counts was built")
+
+    monkeypatch.setattr(ctmc, "response_table", no_table)
+    spec = SigmoidResponse(0.5, 0.05)
+    pop = AgentPopulation.from_fractions(200_000, 0.9, 0.1)
+    with pytest.raises(ValueError, match="n \\* \\(beta"):
+        simulate_ctmc(FIG, spec, pop, 1e-4, seed=0)
+    with pytest.raises(ValueError, match="runs_per_n = 1 runs"):
+        convergence_study(
+            FIG, spec, State(0.9, 0.1), n_list=[200_000], runs_per_n=1, t_max=1e-4
+        )
+
+
 def test_convergence_study_validates_inputs():
     with pytest.raises(ValueError):
         convergence_study(FIG, SigmoidResponse(0.5, 0.05), State(0.9, 0.1),
@@ -346,10 +365,11 @@ def steep_responses(draw, i0):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1000, 4000), seed=st.integers(0, 2**32))
+@given(data=st.data(), n=st.integers(2, 4000), seed=st.integers(0, 2**32))
 def test_dropping_certain_no_ops_leaves_every_jump_in_place(data, n, seed):
     """The engine's jump logs, tallies, occupation integrals and grid
-    counts equal those of the plain loop over the same clock stream."""
+    counts equal those of the plain loop over the same clock stream, with
+    (n >= 1000) and without certain no-ops dropped in numpy."""
     rates = data.draw(st.tuples(
         st.floats(0.05, 3.0), st.floats(0.0, 3.0), st.floats(0.05, 3.0)))
     params = ModelParams(*rates)

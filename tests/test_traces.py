@@ -18,7 +18,7 @@ from epiresponse.model import (
     TabulatedResponse,
     compile_response,
 )
-from epiresponse.sampling import clock_blocks
+from epiresponse.sampling import clock_blocks, response_table
 from epiresponse.traces import (
     Contact,
     ContactTrace,
@@ -27,7 +27,6 @@ from epiresponse.traces import (
     TraceExperiment,
     make_complete_mixing_trace,
     parse_trace,
-    response_table,
     run_trace_experiment,
 )
 
