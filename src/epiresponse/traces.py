@@ -24,11 +24,15 @@ and event types and finds, for each event, how many contacts start at or
 before it; the per-event loop then applies only the state-dependent
 tests.  A run tracks only the agents' states and the infected count; it
 logs each transition in time order, one log per class and move of
-`sampling.MOVES`, which `sampling.counts_on_grid` turns into aggregate
-and per-class samples once the run is over.
+`sampling.MOVES`.  Once the run is over, `sampling.held_states` turns the
+logs into the states the run held and the grid rows that hold each; the
+run's fractions are taken on those states, repeated over the rows past
+the transient cut into the experiment's sum, and time-averaged exactly
+from their integer counts.
 """
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -42,7 +46,7 @@ from .sampling import (
     MOVES,
     check_work,
     clock_blocks,
-    counts_on_grid,
+    held_states,
     response_table,
     uniform_grid,
 )
@@ -206,6 +210,13 @@ def make_complete_mixing_trace(
     return replace(ContactTrace.from_contacts(contacts), duration=duration)
 
 
+def _is_whole(x) -> bool:
+    """``x`` is a number with an integer value, such as 2 or 2.0."""
+    return isinstance(x, numbers.Integral) or (
+        isinstance(x, numbers.Real) and float(x).is_integer()
+    )
+
+
 @dataclass(frozen=True)
 class TraceExperiment:
     """Protocol for replaying a trace: rates are per second, ``initial``
@@ -233,8 +244,9 @@ class TraceExperiment:
             raise ValueError("delta must be finite and non-negative")
         if not self.classes:
             raise ValueError("at least one class is required")
-        if int(self.runs) != self.runs or self.runs < 1:
+        if not (_is_whole(self.runs) and self.runs >= 1):
             raise ValueError("runs must be a positive integer")
+        object.__setattr__(self, "runs", int(self.runs))
         if self.transient_cut is not None and not self.transient_cut >= 0.0:
             raise ValueError("transient_cut must be non-negative")
         if not (self.grid_dt > 0.0 and math.isfinite(self.grid_dt)):
@@ -252,8 +264,10 @@ class TraceResult:
     shape (len(times), 1 + n_classes, 3): the run-averaged (S, I, P)
     fractions, aggregate first, then per class as fractions *of that
     class*.  ``per_run_avg`` holds each run's time-average over the same
-    grid, shape (runs, 1 + n_classes, 3).  ``final_states`` gives each
-    run's terminal agent states (0=S, 1=I, 2=P) in ``node_ids`` order.
+    grid, shape (runs, 1 + n_classes, 3): the exact time-weighted mean,
+    the run's integer counts summed over the grid and divided once.
+    ``final_states`` gives each run's terminal agent states (0=S, 1=I,
+    2=P) in ``node_ids`` order.
     """
 
     times: np.ndarray
@@ -310,9 +324,16 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
         missing = [nid for nid in nodes if nid not in exp.class_assignment]
         if missing:
             raise ValueError(f"class assignment missing nodes {missing}")
-        class_of = [int(exp.class_assignment[nid]) for nid in nodes]
-        if any(c < 0 or c >= n_classes for c in class_of):
-            raise ValueError("class indices out of range")
+        class_of = []
+        for nid in nodes:
+            c = exp.class_assignment[nid]
+            if not _is_whole(c):
+                raise ValueError(f"class index {c!r} of node {nid} is not an integer")
+            if not 0 <= c < n_classes:
+                raise ValueError(
+                    f"class index {c!r} of node {nid} is out of range 0..{n_classes - 1}"
+                )
+            class_of.append(int(c))
     class_sizes = [class_of.count(c) for c in range(n_classes)]
     if any(sz == 0 for sz in class_sizes):
         raise ValueError("every class needs at least one member")
@@ -348,10 +369,12 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     initial = np.zeros((1 + n_classes, 3), dtype=np.int64)
     np.add.at(initial, (np.add(class_of, 1), init_state), 1)
     initial[0] = initial[1:].sum(axis=0)
-    sizes = np.array(class_sizes)[:, None]
+    # a class's columns divide by its size, each of its three states
+    sizes = np.repeat(class_sizes, 3)
+    kept_rows = grid.size - cut_idx
 
-    grid_sum = np.zeros((grid.size, 1 + n_classes, 3))
-    per_run_avg = np.empty((exp.runs, 1 + n_classes, 3))
+    grid_sum = np.zeros((kept_rows, 3 * (1 + n_classes)))
+    per_run_avg = np.empty((exp.runs, 3 * (1 + n_classes)))
     final_states = np.empty((exp.runs, n), dtype=np.int8)
 
     for run in range(exp.runs):
@@ -401,20 +424,25 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
                 n_inf -= 1
                 logs[code_base[j] + 3].append(tk)
 
-        counts = counts_on_grid(initial.ravel(), jumps, logs, grid).reshape(
-            grid.size, 1 + n_classes, 3
-        )
-        samples = np.empty(counts.shape)
-        samples[:, 0] = counts[:, 0] * (1.0 / n)
-        samples[:, 1:] = counts[:, 1:] / sizes
-        grid_sum += samples
-        per_run_avg[run] = samples[cut_idx:].mean(axis=0)
+        # The fractions are taken on the states the run held, then repeated
+        # over the rows at or after the cut that hold each; the time-average
+        # sums the same rows' integer counts, exactly, and divides them once
+        # after the last run.
+        states, held = held_states(initial.ravel(), jumps, logs, grid)
+        frac = np.empty(states.shape)
+        frac[:, :3] = states[:, :3] * (1.0 / n)
+        frac[:, 3:] = states[:, 3:] / sizes
+        kept = np.clip(np.cumsum(held) - cut_idx, 0, held)
+        grid_sum += np.repeat(frac, kept, axis=0)
+        per_run_avg[run] = kept @ states
         final_states[run] = st
+
+    per_run_avg /= kept_rows * np.concatenate(([n] * 3, sizes))
 
     return TraceResult(
         times=grid[cut_idx:],
-        mean_fractions=grid_sum[cut_idx:] / exp.runs,
-        per_run_avg=per_run_avg,
+        mean_fractions=(grid_sum / exp.runs).reshape(kept_rows, 1 + n_classes, 3),
+        per_run_avg=per_run_avg.reshape(exp.runs, 1 + n_classes, 3),
         final_states=final_states,
         node_ids=tuple(nodes),
         class_of=np.array(class_of),

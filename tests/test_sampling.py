@@ -13,6 +13,7 @@ from epiresponse.sampling import (
     MOVES,
     clock_blocks,
     counts_on_grid,
+    held_states,
     uniform_grid,
 )
 from epiresponse.traces import (
@@ -141,6 +142,23 @@ def test_counts_on_grid_counts_every_jump_at_or_before_each_grid_time(table, man
     np.testing.assert_array_equal(got, brute_counts(initial, jumps, logs, grid))
 
 
+@pytest.mark.parametrize("many", [False, True], ids=["few_jumps", "many_jumps"])
+@pytest.mark.parametrize("table", sorted(JUMP_TABLES))
+@given(data=st.data())
+def test_held_states_repeat_to_the_counts_on_the_grid(table, many, data):
+    initial, jumps, logs, grid = data.draw(grid_logs(table, many))
+    logs = [array("d", log) for log in logs]
+    states, held = held_states(initial, jumps, logs, grid)
+    assert states.dtype == np.int64
+    assert held.sum() == grid.size and held.min() >= 0
+    # one state a jump or one a grid row, whichever is fewer
+    n_jumps = sum(len(log) for log in logs)
+    assert len(states) == len(held) <= min(n_jumps, grid.size) + 1
+    got = np.repeat(states, held, axis=0)
+    np.testing.assert_array_equal(got, counts_on_grid(initial, jumps, logs, grid))
+    np.testing.assert_array_equal(got, brute_counts(initial, jumps, logs, grid))
+
+
 def simulate(n):
     pop = AgentPopulation.from_fractions(n, 0.6, 0.2)
     spec = SigmoidResponse(0.3, 0.1)
@@ -164,19 +182,19 @@ def replay(n_classes):
 
 
 # n < 1000 passes every event to the per-event tests, n >= 1000 drops
-# certain no-ops in numpy first
+# certain no-ops in numpy first; trace replay reads the held states
 ENGINE_RUNS = {
-    "ctmc-n400": (ctmc, lambda: simulate(400)),
-    "ctmc-n2000": (ctmc, lambda: simulate(2000)),
-    "trace-one-class": (traces, lambda: replay(1)),
-    "trace-two-class": (traces, lambda: replay(2)),
+    "ctmc-n400": (ctmc, counts_on_grid, lambda: simulate(400)),
+    "ctmc-n2000": (ctmc, counts_on_grid, lambda: simulate(2000)),
+    "trace-one-class": (traces, held_states, lambda: replay(1)),
+    "trace-two-class": (traces, held_states, lambda: replay(2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ENGINE_RUNS))
 def test_every_engine_hands_the_sampler_ascending_logs(case):
-    module, run = ENGINE_RUNS[case]
-    with mock.patch.object(module, "counts_on_grid", wraps=counts_on_grid) as grid_call:
+    module, sampler, run = ENGINE_RUNS[case]
+    with mock.patch.object(module, sampler.__name__, wraps=sampler) as grid_call:
         run()
     assert grid_call.call_count >= 1
     for call in grid_call.call_args_list:
@@ -193,6 +211,14 @@ def test_counts_on_grid_edges():
     # a jump on a grid time shows in that row; one past the end never does
     got = counts_on_grid([4, 0], jumps, [[1.0, 2.5], [3.5]], grid)
     np.testing.assert_array_equal(got, [[4, 0], [3, 1], [3, 1], [2, 2]])
+    # an empty log holds the initial state over the whole grid; the state
+    # after a jump past the end is held by no row
+    states, held = held_states([4, 0], jumps, [[], []], grid)
+    np.testing.assert_array_equal(states, [[4, 0]])
+    np.testing.assert_array_equal(held, [4])
+    states, held = held_states([4, 0], jumps, [[1.0, 2.5], [3.5]], grid)
+    np.testing.assert_array_equal(states, [[4, 0], [3, 1], [2, 2], [3, 1]])
+    np.testing.assert_array_equal(held, [1, 2, 1, 0])
 
 
 def test_uniform_grid_keeps_an_end_within_round_off():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -203,6 +204,32 @@ def test_multi_class_requires_assignment():
         run_trace_experiment(trace, exp, seed=0)
 
 
+def test_a_fractional_class_index_is_refused_by_its_node():
+    classes = (ClassSpec(1.0, StepResponse(0.5)), ClassSpec(1.0, StepResponse(0.9)))
+    for bad in (0.5, float("nan"), "1"):
+        exp = one_class(
+            classes=classes, class_assignment={0: 0, 1: 1, 2: bad, 3: 0, 4: 1}
+        )
+        with pytest.raises(ValueError, match="of node 2 is not an integer"):
+            run_trace_experiment(five_node(), exp, seed=0)
+    # an integer value of another type is the class it names
+    whole = one_class(
+        classes=classes, class_assignment={0: 0, 1: 1.0, 2: np.int64(1), 3: 0, 4: 1}
+    )
+    res = run_trace_experiment(five_node(), whole, seed=0)
+    assert res.class_of.tolist() == [0, 1, 1, 0, 1]
+
+
+def test_a_whole_float_run_count_is_stored_as_an_int():
+    exp = one_class(runs=2.0)
+    assert type(exp.runs) is int and exp.runs == 2
+    res = run_trace_experiment(five_node(), exp, seed=0)
+    assert res.runs == 2 and res.per_run_avg.shape[0] == 2
+    for bad in (2.5, float("nan"), float("inf"), "2"):
+        with pytest.raises(ValueError, match="runs"):
+            one_class(runs=bad)
+
+
 # ---------------------------------------------------- frozen-clock replay
 
 
@@ -371,23 +398,71 @@ def replays(draw):
 @given(case=replays())
 def test_replay_matches_the_plain_per_event_replay(case):
     """Same stream, same transitions: the final states match exactly, and
-    so do the run-averaged fractions up to the order of summation."""
+    each run's time-averaged fractions, aggregate and per class, are the
+    exact means of the plain replay's counts."""
     trace, exp, seed = case
     res = run_trace_experiment(trace, exp, seed)
-    n = trace.n_nodes
+    ids = trace.node_ids
+    assignment = exp.class_assignment or dict.fromkeys(ids, 0)
+    # the aggregate, then each class: its members' positions in node order
+    members = [list(range(len(ids)))] + [
+        [j for j, nid in enumerate(ids) if assignment[nid] == c]
+        for c in range(len(exp.classes))
+    ]
     for run in range(exp.runs):
         state, moves = plain_replay(trace, exp, seed, run)
         assert res.final_states[run].tolist() == state
-        current = [CODES[exp.initial[nid]] for nid in trace.node_ids]
+        current = [CODES[exp.initial[nid]] for nid in ids]
         move_times, done, counts = [m[0] for m in moves], 0, []
         for t in res.times:
             stop = bisect_right(move_times, t)
             for _, j, new in moves[done:stop]:
                 current[j] = new
             done = stop
-            counts.append([current.count(s) for s in range(3)])
-        want = np.mean(np.array(counts) / n, axis=0)
-        np.testing.assert_allclose(res.per_run_avg[run, 0], want, rtol=0, atol=1e-12)
+            counts.append(
+                [[sum(current[j] == s for j in group) for s in range(3)] for group in members]
+            )
+        sizes = np.array([len(group) for group in members])[:, None]
+        want = np.mean(np.array(counts) / sizes, axis=0)
+        np.testing.assert_allclose(res.per_run_avg[run], want, rtol=0, atol=1e-12)
+        # the exact time-weighted mean: integer totals, divided once
+        exact = np.sum(counts, axis=0) / (len(res.times) * sizes)
+        np.testing.assert_array_equal(res.per_run_avg[run], exact)
+
+
+# Taken before the per-run tail moved onto the held states: both classes
+# counts, a cut at 0, at the default 10% and past the span's midpoint;
+# some runs make more jumps than the grid's 41 points, some fewer.
+PINNED_DIGESTS = {
+    (1, None): "72793651ce96b4d489045c3df5b1c3d29db76e8164ffe4f129c7c75d0c85d44c",
+    (1, 0.0): "5b476b79b2f858ef7b6b568345828aed13feeb7edeb653b14718f1aacff87185",
+    (1, 117.5): "b5c4274f672561a2a054e54c15d57765b33fc035625ca07db90a7872faae70e8",
+    (2, None): "466c16b6f617ecb45f0fd8b129d0a4d884c614e1a16f8eb12c52c00c8de39a42",
+    (2, 0.0): "2c6902fc683754e22a2ac9fe695617d05d1e60a08af697abb2c78083a542e22b",
+    (2, 117.5): "237e4b928e7d9713288427b4f5329505d4935828f90dbb376241d28e6592fcc4",
+}
+
+
+@pytest.mark.parametrize("n_classes, cut", sorted(PINNED_DIGESTS, key=repr))
+def test_replay_outputs_match_pinned_digests(n_classes, cut):
+    trace = make_complete_mixing_trace(10, 0.05, 200.0, seed=3)
+    ids = trace.node_ids
+    exp = TraceExperiment(
+        gamma=0.05,
+        delta=0.02,
+        classes=(ClassSpec(0.5, SigmoidResponse(0.2, 0.1)),
+                 ClassSpec(0.5, StepResponse(0.4)))[:n_classes],
+        initial={nid: "I" if nid < 2 else "S" for nid in ids},
+        class_assignment={nid: k % n_classes for k, nid in enumerate(ids)},
+        runs=3,
+        transient_cut=cut,
+        grid_dt=5.0,
+    )
+    res = run_trace_experiment(trace, exp, seed=11)
+    digest = hashlib.sha256()
+    for values in (res.times, res.mean_fractions, res.final_states):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[n_classes, cut]
 
 
 # ------------------------------------------------------------- full dynamics
