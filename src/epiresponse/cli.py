@@ -197,7 +197,7 @@ def _stability_entry(params, spec, eq):
     """The stability report of ``eq``; a quantity that overflowed is refused
     by the rate keys, since strict JSON has no inf or nan."""
     if eq.kind is EquilibriumKind.SLIDING:
-        report = stability_sliding(params, spec.i_star)
+        report = stability_sliding(params, eq.point.i)
         entry = {"a_plus": report.a_plus, "a_minus": report.a_minus}
     else:
         report = stability_smooth(params, spec, eq)

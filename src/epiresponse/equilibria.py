@@ -33,6 +33,7 @@ from .model import (
     ResponseSpec,
     State,
     StepResponse,
+    _jump,
     _response_at,
     compile_response,
     eval_response_selected,
@@ -195,7 +196,7 @@ def find_equilibria(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium
         # max(0.0, NaN) is 0.0, where an infinite slope meets u = 0
         u = 2.0 * u / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * (-d * u / neg_b))))
     root = x0 + u
-    if root < x1 or not isinstance(spec, StepResponse):
+    if root < x1 or x1 != _jump(spec):
         return out + [Equilibrium(EquilibriumKind.ENDEMIC, State(q, min(max(root, x0), x1)))]
     # i_star <= root < 1 - q makes the denominator positive, but the root
     # rounds to 1 - q when delta << gamma; there (and on underflow) aux

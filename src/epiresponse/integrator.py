@@ -53,7 +53,7 @@ from .model import (
     ModelParams,
     ResponseSpec,
     State,
-    StepResponse,
+    _jump,
     _piece_fields,
     compile_response,
     eval_response_selected,  # noqa: F401 -- bench/tracing.py wraps this name here
@@ -341,8 +341,8 @@ def integrate(
     step whose dense output of i leaves the piece is cut at the knot it
     crosses, bisected to ``event_tol``; the knot becomes an accepted point
     and the next piece's field takes over.  A step whose dense output
-    provably stays inside the piece (`_no_crossing`) skips the probes.  On
-    a step response the knot is L = {i == i_star} and its crossings are
+    provably stays inside the piece (`_no_crossing`) skips the probes.  The
+    knot where the response jumps (`_jump`) is L, and its crossings are
     logged as CrossUp / CrossDown events.  A start exactly on a knot takes
     the piece the flow leaves to, by the sign of di/dt = (beta*s - delta)*i.
     On L, off the tangency point the trajectory immediately crosses; at
@@ -360,7 +360,8 @@ def integrate(
     (beta*s <= delta).  At gamma == 0 every point of that line is
     stationary, so a state on it, or near it where it attracts, rests at a
     degenerate disease-free point.  A run still short of t_max after
-    `MAX_STEPS` DP5 attempts raises `StepBudgetError`.
+    `MAX_STEPS` DP5 attempts raises `StepBudgetError`; one whose field goes
+    non-finite (a nan error is rejected) raises `StepUnderflowError`.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -375,7 +376,7 @@ def integrate(
     )
     capture_armed = False
     if cfg.capture_spiral and sliding_eq is not None:
-        report = _sliding_report(params, spec.i_star)
+        report = _sliding_report(params, sliding_eq.point.i)
         capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
         if capture_armed:
             loop_gain = report.a_minus - report.a_plus  # = |A+ - A-|
@@ -452,13 +453,13 @@ def integrate(
     knots = [x0 for x0, _, _ in pieces[1:]]
     fields = [rhs for _, _, rhs in pieces]
     bounds = list(zip([-math.inf] + knots, knots + [math.inf]))
-    jump = isinstance(spec, StepResponse)
+    jump = _jump(spec)
     k = sum(x <= i for x in knots)  # the last piece that starts at or below i
     if k and i == knots[k - 1]:
         s_line = delta / beta
         if not s > s_line:
             k -= 1
-        if jump:
+        if i == jump:
             if s > s_line:
                 events.append((t, EventKind.CROSS_UP))
             elif s < s_line:
@@ -529,7 +530,7 @@ def integrate(
             err = math.sqrt(0.5 * ((err_s / scale_s) ** 2 + (err_i / scale_i) ** 2))
         except OverflowError:
             err = math.inf
-        if err > 1.0:
+        if not err <= 1.0:  # nan too
             h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
             continue
 
@@ -563,9 +564,9 @@ def integrate(
             te = t + ub * h
             s1 = s + h * ub * (qs[0] + ub * (qs[1] + ub * (qs[2] + ub * qs[3])))
             down = g < lo
-            if jump:
-                events.append((te, EventKind.CROSS_DOWN if down else EventKind.CROSS_UP))
             i1 = lo if down else hi
+            if i1 == jump:
+                events.append((te, EventKind.CROSS_DOWN if down else EventKind.CROSS_UP))
             k += -1 if down else 1
             rhs, (lo, hi) = fields[k], bounds[k]
         else:
@@ -588,7 +589,7 @@ def integrate(
         # for bit: no rest where that exceeds eps
         inside = lo < i < hi
         if not (inside and (abs(fs) > eps or abs(fi) > eps)) and (
-            eq := settle(crossed and jump, inside)
+            eq := settle(crossed and i == jump, inside)
         ) is not None:
             return build(eq)
         if crossed:
@@ -651,7 +652,7 @@ def dulac_scan(params: ModelParams, spec: ResponseSpec, grid_n: int) -> float:
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    if isinstance(spec, StepResponse):
+    if _jump(spec) is not None:
         raise TypeError("the divergence scan requires a single-valued response")
     beta, gamma = params.beta, params.gamma
     resp = compile_response(spec)

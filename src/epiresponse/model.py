@@ -117,7 +117,9 @@ class SigmoidResponse:
     """Piecewise-linear ramp of width epsilon centred on i_star.
 
     p_SP rises from 0 to 1 across [i_star - eps/2, i_star + eps/2] and
-    p_PS = 1 - p_SP.  The eps -> 0 limit is `StepResponse`.
+    p_PS = 1 - p_SP.  The eps -> 0 limit is `StepResponse`, and an eps so
+    small that both ends round to i_star gives that step's rows: every
+    engine then reads it as the step, bit for bit.
     """
 
     i_star: float
@@ -243,9 +245,10 @@ def _response_rows(spec: ResponseSpec) -> list[tuple[float, float, float, float,
 
     A step is two flat rows, (0, 1) and from i_star (1, 0); a constant one
     flat row.  A sigmoid is its two flat ends and the ramp from
-    ``i_star - eps/2`` with slope 1/eps.  A table is flat before its first
-    knot and from its last, with one row per segment between, of slope
-    ``(y1 - y0)/w``.
+    ``i_star - eps/2`` with slope 1/eps; a ramp whose ends both round to
+    i_star is empty and left out, so that sigmoid has the step's rows.  A
+    table is flat before its first knot and from its last, with one row per
+    segment between, of slope ``(y1 - y0)/w``.
     """
     if isinstance(spec, StepResponse):
         return [(-math.inf, 0.0, 0.0, 1.0, 0.0), (spec.i_star, 1.0, 0.0, 0.0, 0.0)]
@@ -253,11 +256,9 @@ def _response_rows(spec: ResponseSpec) -> list[tuple[float, float, float, float,
         return [(-math.inf, spec.p_sp, 0.0, spec.p_ps, 0.0)]
     if isinstance(spec, SigmoidResponse):
         half, rate = 0.5 * spec.epsilon, 1.0 / spec.epsilon
-        return [
-            (-math.inf, 0.0, 0.0, 1.0, 0.0),
-            (spec.i_star - half, 0.0, rate, 1.0, -rate),
-            (spec.i_star + half, 1.0, 0.0, 0.0, 0.0),
-        ]
+        lo, hi = spec.i_star - half, spec.i_star + half
+        ramp = [(lo, 0.0, rate, 1.0, -rate)] if lo < hi else []
+        return [(-math.inf, 0.0, 0.0, 1.0, 0.0), *ramp, (hi, 1.0, 0.0, 0.0, 0.0)]
     if isinstance(spec, TabulatedResponse):
         xs, sp, ps = spec.knots, spec.p_sp, spec.p_ps
         rows = [(-math.inf, sp[0], 0.0, ps[0], 0.0)]
@@ -269,12 +270,25 @@ def _response_rows(spec: ResponseSpec) -> list[tuple[float, float, float, float,
     raise TypeError(f"unknown response spec: {spec!r}")
 
 
+def _jump(spec: ResponseSpec) -> float | None:
+    """The i in (0, 1] where the response jumps, a step's i_star: the start
+    of a flat row of `_response_rows` that follows a flat row with other
+    values, else None.  Only there is it a switching line of the domain.
+    Code outside `_response_rows` asks this, never the response's kind."""
+    rows = _response_rows(spec)
+    for (_, sp0, b0, ps0, d0), (x, sp1, b1, ps1, d1) in zip(rows, rows[1:]):
+        if 0.0 < x <= 1.0 and b0 == d0 == b1 == d1 == 0.0 and (sp0, ps0) != (sp1, ps1):
+            return x
+    return None
+
+
 def _find(spec: ResponseSpec):
     """The bisection that locates i among row or piece starts, the first of
     them -inf: ``find(starts, i) - 1`` is the last that starts at or below
-    i (`bisect_right`), but on a step's jump the one below (`bisect_left`),
-    the canonical selection (p_sp, p_ps) = (0, 1) at i == i_star."""
-    return bisect_left if isinstance(spec, StepResponse) else bisect_right
+    i (`bisect_right`), but where the table jumps (`_jump`) the one below
+    (`bisect_left`), the canonical selection, the limit from below: for a
+    step (p_sp, p_ps) = (0, 1) at i == i_star."""
+    return bisect_right if _jump(spec) is None else bisect_left
 
 
 def _row_value(row, i: float) -> tuple[float, float]:
@@ -303,10 +317,12 @@ def compile_response(spec: ResponseSpec) -> Callable[[float], tuple[float, float
 
     Every engine evaluates the response through this closure, which makes
     no numpy calls.  A flat row returns one prebuilt pair; a sloped row
-    evaluates as `_row_value`.  At a step threshold this is the canonical
-    selection (0, 1), the limit from below.  Tabulated responses match
-    ``numpy.interp`` bit for bit: its end values outside the knots, the
-    knot value exactly on a knot, otherwise ``slope*(i - x[j]) + y[j]``.
+    evaluates as `_row_value`.  Where the table jumps (`_jump`) this is the
+    canonical selection, the limit from below: (0, 1) at a step threshold.
+    Elsewhere a table matches ``numpy.interp`` bit for bit (it jumps only
+    where a segment's slope underflows to 0): its end values outside the
+    knots, the knot value exactly on a knot, otherwise
+    ``slope*(i - x[j]) + y[j]``.
     """
     rows = _response_rows(spec)
     starts, flat = [], []
@@ -335,10 +351,9 @@ def response_pieces(spec: ResponseSpec) -> list[tuple[float, float, float, float
     d*(i - x0) on [x0, x1].
 
     The pieces start at 0, end at 1 and share their bounds.  A row that
-    ends at or below 0 is left out, for i = 0 is no switching line; a
-    piece may be empty at 1 (a step with i_star = 1 jumps there) or where
-    a sigmoid's ramp is narrower than an ulp.  A piece that starts at 0
-    inside a sloped row takes the row's values there.
+    ends at or below 0 is left out, for i = 0 is no switching line; the
+    last piece is empty where a step with i_star = 1 jumps at 1.  A piece
+    that starts at 0 inside a sloped row takes the row's values there.
     """
     pieces, end = [], math.inf
     for row in reversed(_response_rows(spec)):  # each ends where the next starts
@@ -425,15 +440,16 @@ def response_slopes(spec: ResponseSpec, i: float) -> tuple[float, float]:
 def field(params: ModelParams, spec: ResponseSpec, x: State) -> FieldValue:
     """Right-hand side (dS/dt, dI/dt) at ``x``; set-valued on a step threshold.
 
-    On L = {i == i_star} of a `StepResponse` the returned segment spans the
+    On L = {i == `_jump`}, a step's i_star, the returned segment spans the
     two one-sided limits of the S-rate, ds_lo from above L (everyone
-    protects) and ds_hi from below it (nobody does), the step's two
-    `_piece_fields`, while di = (beta*s - delta)*i is continuous across L.
+    protects) and ds_hi from below it (nobody does), the `_piece_fields`
+    on either side, while di = (beta*s - delta)*i is continuous across L.
     Everywhere else the value is that of `compile_field`.
     """
     s, i = x.s, x.i
-    if isinstance(spec, StepResponse) and i == spec.i_star:
-        (_, _, below), (_, _, above) = _piece_fields(params, spec)
-        ds_hi, di = below(s, i)
-        return FieldSegment(ds_lo=above(s, i)[0], ds_hi=ds_hi, di=di)
+    if i == _jump(spec):
+        pieces = _piece_fields(params, spec)
+        k = [x0 for x0, _, _ in pieces].index(i)
+        ds_hi, di = pieces[k - 1][2](s, i)
+        return FieldSegment(ds_lo=pieces[k][2](s, i)[0], ds_hi=ds_hi, di=di)
     return FieldPoint(*compile_field(params, spec)(s, i))

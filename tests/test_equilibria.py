@@ -31,6 +31,7 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    _jump,
     compile_response,
     eval_response_selected,
     field,
@@ -314,6 +315,20 @@ def narrow_responses(draw):
     p_sp, p_ps = sorted(draw(column)), sorted(draw(column), reverse=True)
     assume(p_sp[0] + p_ps[0] > 0.0)
     return TabulatedResponse(tuple(knots), tuple(p_sp), tuple(p_ps))
+
+
+@settings(max_examples=200)
+@given(narrow_responses())
+def test_only_an_empty_ramp_makes_a_narrow_response_jump(spec):
+    """A table, a constant and a ramp that holds a float move continuously:
+    the row table reports no jump.  A ramp whose ends both round to i_star
+    jumps there, as its step does."""
+    if isinstance(spec, SigmoidResponse):
+        half = 0.5 * spec.epsilon
+        if spec.i_star - half == spec.i_star + half:
+            assert _jump(spec) == spec.i_star
+            return
+    assert _jump(spec) is None
 
 
 def _g_monomials(params, piece):

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from epiresponse import equilibria as equilibria_module, integrator
@@ -42,12 +42,14 @@ from epiresponse.model import (
     State,
     StepResponse,
     TabulatedResponse,
+    _jump,
     _piece_fields,
+    _response_rows,
     compile_field,
     compile_response,
     field,
 )
-from test_model import tabulated_responses
+from test_model import _around, tabulated_responses
 
 FIG = ModelParams(beta=1.0, gamma=1.0, delta=0.5)  # reference parameter set
 
@@ -98,6 +100,21 @@ def test_config_validation():
 def test_unrepresentable_steps_raise_step_underflow(params, x0, cfg):
     with pytest.raises(StepUnderflowError):
         integrate(params, StepResponse(0.2), x0, cfg)
+
+
+def test_a_nan_step_is_rejected_not_kept(monkeypatch):
+    # `err > 1.0` is false for a nan err, and the domain clip's comparisons
+    # are too, so a field gone nan above i = 0.3 once became a sample
+    def nan_above(params, spec):
+        return [
+            (x0, x1, lambda s, i, rhs=rhs: rhs(s, i) if i <= 0.3 else (math.nan, math.nan))
+            for x0, x1, rhs in _piece_fields(params, spec)
+        ]
+
+    monkeypatch.setattr(integrator, "_piece_fields", nan_above)
+    with pytest.raises(StepUnderflowError) as info:
+        integrate(FIG, ConstantResponse(0.0, 1.0), State(0.9, 0.05), IntegratorConfig(t_max=30))
+    assert 0.05 < info.value.state.i <= 0.3
 
 
 def test_a_zeno_spiral_without_capture_spends_the_step_budget(monkeypatch):
@@ -766,6 +783,63 @@ def test_dulac_scan_rejects_bad_inputs():
         dulac_scan(FIG, StepResponse(0.5), 50)
     with pytest.raises(ValueError):
         dulac_scan(FIG, SigmoidResponse(0.5, 0.1), 1)
+
+
+# ------------------------------------------------- a sigmoid below an ulp
+
+
+def _bits(x):
+    """The exact bits of every float in ``x``, nested as ``x`` is."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+@st.composite
+def sub_ulp_sigmoids(draw):
+    """``(i_star, eps)`` with both ramp ends ``i_star -+ eps/2`` rounding to
+    i_star: eps up to half an ulp of i_star, down to the least double."""
+    i_star = draw(st.floats(0.0, 1.0, exclude_min=True))
+    eps = max(draw(st.floats(0.0, 0.5)) * math.ulp(i_star), math.ulp(0.0))
+    assume(i_star - 0.5 * eps == i_star == i_star + 0.5 * eps)
+    return i_star, eps
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # listed an endemic point at i = 0.5, where g = -1.83
+    params=ModelParams(3.0, 4.0, 1.0),
+    ramp=(0.5, 4.946359200107754e-251),
+    x0=(0.9, 0.05),
+)
+@given(
+    params=st.builds(ModelParams, st.floats(0.05, 8.0), st.floats(0.05, 8.0), st.floats(0.05, 8.0)),
+    ramp=sub_ulp_sigmoids(),
+    x0=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda x: sum(x) <= 1.0),
+)
+def test_a_sigmoid_with_an_empty_ramp_is_its_step(params, ramp, x0):
+    """The ramp rounds away, so the table says the sigmoid jumps where the
+    step does, and every engine gives the step's floats bit for bit."""
+    i_star, eps = ramp
+    sigmoid, step = SigmoidResponse(i_star, eps), StepResponse(i_star)
+    assert _bits(_response_rows(sigmoid)) == _bits(_response_rows(step))
+    assert _jump(sigmoid) == _jump(step) == i_star
+    resp_sig, resp_step = compile_response(sigmoid), compile_response(step)
+    for i in (0.0, *_around(i_star), 1.0):
+        assert _bits(resp_sig(i)) == _bits(resp_step(i))
+    assert repr(find_equilibria(params, sigmoid)) == repr(find_equilibria(params, step))
+    on_l = State(min(x0[0], 1.0 - i_star), i_star)
+    assert repr(field(params, sigmoid, on_l)) == repr(field(params, step, on_l))
+    cfg = IntegratorConfig(t_max=2.0)
+    runs = [integrate(params, spec, State(*x0), cfg) for spec in (sigmoid, step)]
+    assert runs[0].times.tobytes() == runs[1].times.tobytes()
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].events == runs[1].events
+    assert repr(runs[0].equilibrium) == repr(runs[1].equilibrium)
+    for spec in (sigmoid, step):
+        with pytest.raises(TypeError):
+            dulac_scan(params, spec, 10)
 
 
 # ------------------------------------------------------------------- basins
