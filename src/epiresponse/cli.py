@@ -255,7 +255,9 @@ def cmd_integrate(values, args) -> int:
     x0 = _start(values)
     if args.vector_field:
         points = _triangle(values["field_grid_n"], "field_grid_n")
-    traj = integrate(params, spec, x0, IntegratorConfig(**_pick(values, _TOL)))
+    # only samples and events are written: no dense output
+    cfg = IntegratorConfig(**_pick(values, _TOL), store_dense=False)
+    traj = integrate(params, spec, x0, cfg)
     rows = [(t, s, i, 1.0 - s - i) for t, (s, i) in zip(traj.times, traj.states)]
     _write_table(args.out, "trajectory", ("t", "s", "i", "p"), rows, args.format)
     event_rows = [(t, kind.value) for t, kind in traj.events]
@@ -353,34 +355,26 @@ def cmd_trace(values, args) -> int:
     with open(args.trace) as handle:
         trace = parse_trace(handle)
 
-    if values["i_star2"] is not None:
-        if values["epsilon2"] is None:
-            raise ConfigError("missing required key 'epsilon2' for two classes")
-        if values["split"] is None:
-            raise ConfigError("missing required key 'split' for two classes")
-        split = values["split"]
-        if not (0.0 < split < 1.0):
-            raise ConfigError("key 'split': must lie strictly between 0 and 1")
-        classes = (
-            ClassSpec(split, SigmoidResponse(values["i_star"], values["epsilon"])),
-            ClassSpec(
-                1.0 - split,
-                SigmoidResponse(values["i_star2"], values["epsilon2"]),
-            ),
-        )
-        n1 = round(split * trace.n_nodes)
-        n1 = min(max(n1, 1), trace.n_nodes - 1)
+    two = values["i_star2"] is not None
+    for key in ("epsilon2", "split"):
+        if two and values[key] is None:
+            raise ConfigError(f"missing required key '{key}' for two classes")
+        if not two and values[key] is not None:
+            raise ConfigError(f"key '{key}' requires 'i_star2'")
+    split = values["split"]
+    if two and not (0.0 < split < 1.0):
+        raise ConfigError("key 'split': must lie strictly between 0 and 1")
+    weights = (split, 1.0 - split) if two else (1.0,)
+    classes = tuple(
+        ClassSpec(weight, SigmoidResponse(values["i_star" + k], values["epsilon" + k]))
+        for weight, k in zip(weights, ("", "2"))
+    )
+    assignment = None
+    if two:
+        n1 = min(max(round(split * trace.n_nodes), 1), trace.n_nodes - 1)
         assignment = {
             nid: (0 if k < n1 else 1) for k, nid in enumerate(trace.node_ids)
         }
-    else:
-        for key in ("epsilon2", "split"):
-            if values[key] is not None:
-                raise ConfigError(f"key '{key}' requires 'i_star2'")
-        classes = (
-            ClassSpec(1.0, SigmoidResponse(values["i_star"], values["epsilon"])),
-        )
-        assignment = None
 
     infected = values["infected_nodes"] or (trace.node_ids[0],)
     protected = values["protected_nodes"] or ()

@@ -28,12 +28,12 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .model import (
-    CONTINUOUS_RESPONSES,
     ModelParams,
     ResponseSpec,
     State,
     StepResponse,
     _jump,
+    _piece_fields,
     _response_at,
     compile_response,
     eval_response_selected,
@@ -214,8 +214,8 @@ def find_equilibria_step(params: ModelParams, i_star: float) -> list[Equilibrium
 
 
 def find_equilibria_continuous(params: ModelParams, spec: ResponseSpec) -> list[Equilibrium]:
-    """`find_equilibria` for a single-valued (continuous) response."""
-    if not isinstance(spec, CONTINUOUS_RESPONSES):
+    """`find_equilibria` for a response whose rows do not jump (`model._jump`)."""
+    if _jump(spec) is not None:
         raise TypeError(f"continuous response required, got {spec!r}")
     return find_equilibria(params, spec)
 
@@ -305,7 +305,11 @@ class SlidingNormalForm:
         x' = P+-(x, y),   y' = Q(x, y) = -beta*x*(y + i_star)
 
     The y-rate is continuous across the line; only the x-rate switches.
-    Origin partials are exposed for finite-difference cross-checks.
+    P+ and P- are minus the S-rates of the upper and lower
+    `model._piece_fields` of ``StepResponse(i_star)``, the fields
+    `integrate` steps on.  Q and the origin partials are closed forms for
+    finite-difference cross-checks: the I-rate's beta*(delta/beta) - delta
+    leaves a rounding residue that Q's second difference would magnify.
     """
 
     beta: float
@@ -313,19 +317,16 @@ class SlidingNormalForm:
     delta: float
     i_star: float
 
+    def _side(self, k: int, x: float, y: float) -> float:
+        params = ModelParams(self.beta, self.gamma, self.delta)
+        rhs = _piece_fields(params, StepResponse(self.i_star))[k][2]
+        return -rhs(self.delta / self.beta - x, self.i_star + y)[0]
+
     def p_plus(self, x: float, y: float) -> float:
-        b, g, d, ist = self.beta, self.gamma, self.delta, self.i_star
-        return -b * x * y - (b * ist + g) * x + d * y + d * (ist + g / b)
+        return self._side(-1, x, y)
 
     def p_minus(self, x: float, y: float) -> float:
-        b, g, d, ist = self.beta, self.gamma, self.delta, self.i_star
-        return (
-            -b * x * y
-            - (b * ist + g) * x
-            + (g + d) * y
-            + d * ist
-            - g * (1.0 - d / b - ist)
-        )
+        return self._side(0, x, y)
 
     def q(self, x: float, y: float) -> float:
         return -self.beta * x * (y + self.i_star)

@@ -32,7 +32,6 @@ __all__ = [
     "TabulatedResponse",
     "ConstantResponse",
     "ResponseSpec",
-    "CONTINUOUS_RESPONSES",
     "FieldPoint",
     "FieldSegment",
     "FieldValue",
@@ -179,9 +178,6 @@ class ConstantResponse:
 
 
 ResponseSpec = Union[StepResponse, SigmoidResponse, TabulatedResponse, ConstantResponse]
-
-# Variants whose response is a single-valued (continuous) function of i.
-CONTINUOUS_RESPONSES = (SigmoidResponse, TabulatedResponse, ConstantResponse)
 
 
 @dataclass(frozen=True)

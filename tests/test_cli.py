@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epiresponse import integrator
+from epiresponse import cli, integrator
 from epiresponse.cli import _csv_text, main
 from epiresponse.config import format_value
 from epiresponse.equilibria import equilibrium_infection_vs_gamma, find_equilibria
 from epiresponse.model import (
+    ClassSpec,
     ConstantResponse,
     ModelParams,
     SigmoidResponse,
@@ -22,6 +23,7 @@ from epiresponse.model import (
     eval_response_selected,
 )
 from epiresponse.sampling import MAX_GRID_POINTS
+from epiresponse.traces import run_trace_experiment
 from test_acceptance import CONFIGS
 
 FIXTURE = Path(__file__).parent / "data" / "five_node.csv"
@@ -478,6 +480,54 @@ def test_trace_two_classes_need_split(tmp_path, capsys):
     code, _ = run(tmp_path, "trace", cfg, str(FIXTURE))
     assert code == 2
     assert "split" in capsys.readouterr().err
+
+
+TWO = "i_star2 = 0.9\nepsilon2 = 0.01\n"
+NO_EPS2 = "missing required key 'epsilon2' for two classes"
+OUT_OF_RANGE = "key 'split': must lie strictly between 0 and 1"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("i_star2 = 0.9\nsplit = 0.4\n", NO_EPS2),
+        ("i_star2 = 0.9\n", NO_EPS2),
+        (TWO, "missing required key 'split' for two classes"),
+        ("epsilon2 = 0.01\n", "key 'epsilon2' requires 'i_star2'"),
+        ("epsilon2 = 0.01\nsplit = 0.4\n", "key 'epsilon2' requires 'i_star2'"),
+        ("split = 0.4\n", "key 'split' requires 'i_star2'"),
+        (TWO + "split = 1\n", OUT_OF_RANGE),
+        (TWO + "split = 0\n", OUT_OF_RANGE),
+    ],
+)
+def test_trace_class_keys_name_the_first_missing_or_stray_key(
+    tmp_path, capsys, extra, message
+):
+    code, out = run(tmp_path, "trace", TRACE_CFG + extra, str(FIXTURE))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "trace_avg.csv").exists()
+
+
+@pytest.mark.parametrize("split, sizes", [(0.01, (1, 4)), (0.99, (4, 1)), (0.4, (2, 3))])
+def test_trace_split_keeps_a_node_in_each_class(tmp_path, monkeypatch, split, sizes):
+    seen = []
+
+    def spy(trace, exp, seed):
+        seen.append(exp)
+        return run_trace_experiment(trace, exp, seed)
+
+    monkeypatch.setattr(cli, "run_trace_experiment", spy)
+    cfg = TRACE_CFG + f"i_star2 = 0.9\nepsilon2 = 0.02\nsplit = {split}\n"
+    code, _ = run(tmp_path, "trace", cfg, str(FIXTURE))
+    assert code == 0
+    (exp,) = seen
+    labels = list(exp.class_assignment.values())
+    assert (labels.count(0), labels.count(1)) == sizes
+    assert exp.classes == (
+        ClassSpec(split, SigmoidResponse(0.5, 0.01)),
+        ClassSpec(1.0 - split, SigmoidResponse(0.9, 0.02)),
+    )
 
 
 def test_trace_unknown_infected_node(tmp_path, capsys):

@@ -403,3 +403,21 @@ def test_most_certain_no_ops_never_reach_the_per_event_tests():
     jumps = sum(run.transition_counts.values())
     assert run.clock_events > 1_200_000
     assert jumps <= run.passed_events <= 0.35 * run.clock_events
+
+
+# ------------------------------------------------- a sigmoid that is a step
+
+
+@pytest.mark.parametrize("n", [200, 2_000])  # the second drops no-ops in numpy
+def test_a_sub_ulp_sigmoid_runs_as_its_step(n):
+    # the ramp (1e-300) rounds away at i_star = 0.2: the table is the step's,
+    # and the run crosses the jump hundreds of times (protect moves)
+    pop = AgentPopulation.from_fractions(n, 0.6, 0.3)
+    step, sigmoid = (
+        simulate_ctmc(FIG, spec, pop, t_max=20.0, seed=3)
+        for spec in (StepResponse(0.2), SigmoidResponse(0.2, 1e-300))
+    )
+    assert step.transition_counts["protect"] > n
+    np.testing.assert_array_equal(sigmoid.counts, step.counts)
+    assert sigmoid.transition_counts == step.transition_counts
+    assert sigmoid.occupation == step.occupation

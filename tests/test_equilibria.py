@@ -295,6 +295,11 @@ def test_zero_pressure_response_rejected():
 def test_continuous_rejects_step():
     with pytest.raises(TypeError):
         find_equilibria_continuous(ModelParams(1.0, 1.0, 0.5), StepResponse(0.3))
+    # a ramp that rounds away at i_star has the step's rows: it jumps too
+    with pytest.raises(TypeError):
+        find_equilibria_continuous(
+            ModelParams(1.0, 1.0, 0.5), SigmoidResponse(0.5, 4.946359200107754e-251)
+        )
 
 
 @st.composite
@@ -538,19 +543,31 @@ def test_normal_form_partials_match_finite_differences():
     assert nf.p_minus_0 == pytest.approx(nf.p_minus(0.0, 0.0))
 
 
-def test_normal_form_sides_agree_with_field():
-    """P/Q are the (s, i) field pushed through x = delta/beta - s, y = i - i*."""
-    p = ModelParams(1.0, 1.0, 0.5)
-    i_star = 0.2
+@st.composite
+def normal_form_points(draw):
+    """Rates, i_star and a point (x, y) whose (s, i) lies in the simplex."""
+    beta, gamma, delta = draw(rates), draw(rates), draw(rates)
+    i_star = draw(st.floats(1e-3, 1.0))
+    i = draw(st.floats(1e-3, 0.999))
+    s = draw(st.floats(0.0, 1.0 - i))
+    return beta, gamma, delta, i_star, delta / beta - s, i - i_star
+
+
+@given(normal_form_points())
+@example(case=(1.0, 1.0, 0.5, 0.2, 0.07, 0.04))
+def test_normal_form_sides_agree_with_field(case):
+    """P+- are the step's one-sided S-rates pushed through x = delta/beta - s,
+    y = i - i*, bit for bit; Q is its I-rate."""
+    beta, gamma, delta, i_star, x, y = case
+    p = ModelParams(beta, gamma, delta)
     nf = sliding_normal_form(p, i_star)
-    x, y = 0.07, 0.04
-    s, i = p.delta / p.beta - x, i_star + y
-    above = field(p, StepResponse(i_star - 2 * y), State(s, i))  # forces p_sp=1 side
-    below = field(p, StepResponse(i_star + 2 * y), State(s, i))  # forces p_ps=1 side
-    assert nf.p_plus(x, y) == pytest.approx(-above.ds)
-    assert nf.p_minus(x, y) == pytest.approx(-below.ds)
+    at = State(delta / beta - x, i_star + y)
+    above = field(p, StepResponse(at.i / 2), at)  # the p_sp = 1 side
+    below = field(p, StepResponse(1.0), at)  # the p_ps = 1 side
+    assert nf.p_plus(x, y) == -above.ds
+    assert nf.p_minus(x, y) == -below.ds
+    assert above.di == below.di
     assert nf.q(x, y) == pytest.approx(above.di)
-    assert nf.q(x, y) == pytest.approx(below.di)
 
 
 @given(rates, rates, rates, st.floats(1e-3, 1.0))

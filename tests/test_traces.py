@@ -580,3 +580,22 @@ def test_a_long_run_holds_one_clock_block_at_a_time():
         check=True, timeout=120,
     )
     assert int(out.stdout) < 150 * 1024
+
+
+def test_a_sub_ulp_sigmoid_replays_as_its_step():
+    # the ramp (1e-300) rounds away at i_star = 0.25: each class table is
+    # the step's, so every array of the result is the step's
+    trace = make_complete_mixing_trace(12, 0.01, 2000.0, seed=1)
+    initial = {nid: ("I" if nid < 4 else "S") for nid in trace.node_ids}
+    step, sigmoid = (
+        run_trace_experiment(
+            trace,
+            TraceExperiment(gamma=0.01, delta=0.002, classes=(ClassSpec(1.0, spec),),
+                            initial=initial, runs=5, grid_dt=10.0),
+            seed=9,
+        )
+        for spec in (StepResponse(0.25), SigmoidResponse(0.25, 1e-300))
+    )
+    for name in ("times", "mean_fractions", "per_run_avg", "final_states", "class_of"):
+        np.testing.assert_array_equal(getattr(sigmoid, name), getattr(step, name))
+    assert (sigmoid.node_ids, sigmoid.transient_cut) == (step.node_ids, step.transient_cut)
