@@ -150,8 +150,9 @@ class IntegratorConfig:
 LOOP_TOL = 1e-2
 LOOP_COUNT = 3
 
-# DP5 attempts, accepted and rejected, that one run may make: 27 s on a
-# spiral that crosses L at nearly every step (Python 3.11, one x86 core).
+# DP5 attempts, accepted and rejected, that one run may make: ~10 s on a
+# spiral that crosses L at nearly every step (Python 3.11, 2-core x86,
+# dense output off; beta 1, gamma 3, delta 0.2, step 0.1 from (0.6, 0.1)).
 # With capture off, the spiral into a sliding point crosses L without end.
 MAX_STEPS = 10**6
 
@@ -202,13 +203,19 @@ class Trajectory:
     to rest at, ``None`` when it ran to t_max.  If the sliding-point capture
     fired, the final sample is the certified limit point itself rather than
     the last crossing state: `LOOP_COUNT` loops in a row had gained
-    |A+ - A-| in 1/r, to within `LOOP_TOL`.
+    |A+ - A-| in 1/r, to within `LOOP_TOL`.  ``attempts`` counts the
+    Dormand-Prince attempts, accepted or rejected, and ``rejected`` those
+    whose error estimate was not at most 1: every other attempt is an
+    accepted point, so ``attempts - rejected == len(times) - 1`` when
+    samples are stored.
     """
 
     times: np.ndarray
     states: np.ndarray
     events: list[tuple[float, EventKind]]
     equilibrium: Equilibrium | None
+    attempts: int = 0
+    rejected: int = 0
     _segments: list | None = None
     _seg_starts: np.ndarray | None = None
 
@@ -329,6 +336,50 @@ def _clip_to_domain(t, s, i):
     return s, i
 
 
+class _Setup:
+    """What `integrate` reads of ``(params, spec)`` alone: the equilibria
+    `find_equilibria` lists, as ``(s, i, eq)`` for the rest test, and the
+    sliding one; |A+ - A-|, the capture's per-loop gain of 1/r, where
+    `_sliding_report` certifies that point asymptotically stable, else
+    None; each piece's field and bounds, piece k holding knots[k - 1] <= i
+    <= knots[k] with no bound below the first or above the last; and the
+    knot where the field jumps, L (`_jump`)."""
+
+    def __init__(self, params: ModelParams, spec: ResponseSpec):
+        self.params, self.spec = params, spec
+        equilibria = find_equilibria(params, spec)
+        self.eq_points = [(eq.point.s, eq.point.i, eq) for eq in equilibria]
+        self.sliding_eq = next(
+            (eq for eq in equilibria if eq.kind is EquilibriumKind.SLIDING), None
+        )
+        self.loop_gain = None
+        if self.sliding_eq is not None:
+            report = _sliding_report(params, self.sliding_eq.point.i)
+            if report.verdict is Verdict.ASYMPTOTICALLY_STABLE:
+                self.loop_gain = report.a_minus - report.a_plus
+        pieces = _piece_fields(params, spec)
+        self.knots = [x0 for x0, _, _ in pieces[1:]]
+        self.fields = [rhs for _, _, rhs in pieces]
+        self.bounds = list(zip([-math.inf] + self.knots, self.knots + [math.inf]))
+        self.jump = _jump(spec)
+
+
+_last_setup: _Setup | None = None
+
+
+def _setup(params: ModelParams, spec: ResponseSpec) -> _Setup:
+    """The `_Setup` of ``(params, spec)``, kept for the last pair asked, so
+    that the starts of a basin share one.  The key is the two objects'
+    identity, never equality: ``ModelParams(1, -0.0, 0.5) ==
+    ModelParams(1, 0.0, 0.5)`` although their fields differ in bits, and
+    the kept setup holds both objects, so neither id can be reused."""
+    global _last_setup
+    setup = _last_setup
+    if setup is None or setup.params is not params or setup.spec is not spec:
+        setup = _last_setup = _Setup(params, spec)
+    return setup
+
+
 def integrate(
     params: ModelParams,
     spec: ResponseSpec,
@@ -362,24 +413,22 @@ def integrate(
     degenerate disease-free point.  A run still short of t_max after
     `MAX_STEPS` DP5 attempts raises `StepBudgetError`; one whose field goes
     non-finite (a nan error is rejected) raises `StepUnderflowError`.
+
+    What depends on ``(params, spec)`` alone, the equilibria, the sliding
+    point's certificate and the piece fields, is built once for the last
+    pair of objects passed (`_setup`, keyed by identity): the starts of a
+    basin share it.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     beta, delta = params.beta, params.delta
-    equilibria = find_equilibria(params, spec)
-    eq_points = [(eq.point.s, eq.point.i, eq) for eq in equilibria]
+    setup = _setup(params, spec)
+    eq_points, sliding_eq = setup.eq_points, setup.sliding_eq
     eps = cfg.equilibrium_eps
     line_rest = params.gamma == 0.0
 
-    sliding_eq = next(
-        (eq for eq in equilibria if eq.kind is EquilibriumKind.SLIDING), None
-    )
-    capture_armed = False
-    if cfg.capture_spiral and sliding_eq is not None:
-        report = _sliding_report(params, sliding_eq.point.i)
-        capture_armed = report.verdict is Verdict.ASYMPTOTICALLY_STABLE
-        if capture_armed:
-            loop_gain = report.a_minus - report.a_plus  # = |A+ - A-|
+    loop_gain = setup.loop_gain if cfg.capture_spiral else None
+    capture_armed = loop_gain is not None
     # consecutive crossings that met the certificate, the last crossing
     # radius, and the last one on each side of L (indexed by the piece)
     matched, last_r, side_r = 0, math.inf, [math.inf, math.inf]
@@ -390,6 +439,7 @@ def integrate(
     sample_t, sample_s, sample_i = [0.0], [s], [i]
     store_samples = cfg.store_samples
     segments = [] if cfg.store_dense else None
+    attempts = rejected = 0  # DP5 attempts, and those rejected
 
     def build(eq=None):
         if eq is not None:
@@ -399,7 +449,9 @@ def integrate(
             sample_s.append(s)
             sample_i.append(i)
         states = np.column_stack([sample_s, sample_i])
-        traj = Trajectory(np.array(sample_t), states, events, eq)
+        traj = Trajectory(
+            np.array(sample_t), states, events, eq, attempts=attempts, rejected=rejected
+        )
         if segments is not None:
             traj._segments = segments
             traj._seg_starts = np.array([seg[0] for seg in segments])
@@ -446,14 +498,7 @@ def integrate(
             return None
         return near
 
-    # The pieces' fields and bounds: piece k holds knots[k - 1] <= i <=
-    # knots[k], with no bound below the first or above the last.  Only a
-    # step's knot is a jump of the field, L.
-    pieces = _piece_fields(params, spec)
-    knots = [x0 for x0, _, _ in pieces[1:]]
-    fields = [rhs for _, _, rhs in pieces]
-    bounds = list(zip([-math.inf] + knots, knots + [math.inf]))
-    jump = _jump(spec)
+    knots, fields, bounds, jump = setup.knots, setup.fields, setup.bounds, setup.jump
     k = sum(x <= i for x in knots)  # the last piece that starts at or below i
     if k and i == knots[k - 1]:
         s_line = delta / beta
@@ -484,8 +529,11 @@ def integrate(
     t_max = cfg.t_max
     event_tol = cfg.event_tol
     store_dense = cfg.store_dense
-    attempts = 0
+    neg_eps = -eps
 
+    # The loop spells min, max and abs as the comparisons they make, and
+    # clips only a point outside the simplex: the same floats, fewer calls.
+    # `_no_crossing` stays the one test of a step's reach.
     while t < t_max:
         remaining = t_max - t
         if remaining < min_step:
@@ -494,7 +542,8 @@ def integrate(
             # only crossings are logged before the run ends
             raise StepBudgetError(t, State(s, i), len(events), cfg.capture_spiral)
         attempts += 1
-        h = min(h, remaining)
+        if remaining < h:
+            h = remaining
         if h < min_step:
             raise StepUnderflowError(t, State(s, i))
 
@@ -524,14 +573,28 @@ def integrate(
         err_i = h * (
             _E1 * fi + _E3 * k3i + _E4 * k4i + _E5 * k5i + _E6 * k6i + _E7 * k7i
         )
-        scale_s = abs_tol + rel_tol * max(abs(s), abs(s1))
-        scale_i = abs_tol + rel_tol * max(abs(i), abs(i1))
+        # max(|s|, |s1|): from s >= 0 (a point of the simplex), s1 or -s1
+        # where it exceeds s; a nan s1 leaves s, a zero's sign is lost in
+        # abs_tol + 0.  A point below 0 (a start within DOMAIN_SLACK
+        # outside, a clip's excess) and a nan s take the builtins.
+        if s >= 0.0:
+            m_s = s1 if s1 > s else -s1 if -s1 > s else s
+        else:
+            m_s = max(abs(s), abs(s1))
+        if i >= 0.0:
+            m_i = i1 if i1 > i else -i1 if -i1 > i else i
+        else:
+            m_i = max(abs(i), abs(i1))
+        scale_s = abs_tol + rel_tol * m_s
+        scale_i = abs_tol + rel_tol * m_i
         try:  # _rms, inlined: this is the hot loop
             err = math.sqrt(0.5 * ((err_s / scale_s) ** 2 + (err_i / scale_i) ** 2))
         except OverflowError:
             err = math.inf
         if not err <= 1.0:  # nan too
-            h *= max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            rejected += 1
+            factor = _SAFETY * err**-0.2
+            h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             continue
 
         # Probe the dense output of i for a crossing of the piece's bounds.
@@ -572,32 +635,38 @@ def integrate(
         else:
             te = t + h
 
-        # The one tail of every accepted point.
-        s1c, i1c = _clip_to_domain(te, s1, i1)
+        # The one tail of every accepted point.  `_clip_to_domain` returns
+        # a point of the simplex as it is and moves every other one (s + i
+        # above 1 exceeds it by an ulp of 1 at least), so it is called only
+        # outside, and `clipped` says whether the point moved.
+        clipped = s1 < 0.0 or i1 < 0.0 or s1 + i1 > 1.0
         if segments is not None:
             segments.append((t, te, h, s, i, qs, qi))
-        t, s, i = te, s1c, i1c
+        t, s, i = te, s1, i1
+        if clipped:
+            s, i = _clip_to_domain(te, s1, i1)
         if store_samples:
             sample_t.append(t)
             sample_s.append(s)
             sample_i.append(i)
-        if crossed or s1c != s1 or i1c != i1:
+        if crossed or clipped:
             fs, fi = rhs(s, i)
         else:
             fs, fi = k7s, k7i
         # strictly inside its piece `field` is the loop's own (fs, fi), bit
-        # for bit: no rest where that exceeds eps
+        # for bit: no rest where |fs| or |fi| exceeds eps
         inside = lo < i < hi
-        if not (inside and (abs(fs) > eps or abs(fi) > eps)) and (
-            eq := settle(crossed and i == jump, inside)
-        ) is not None:
+        if not (
+            inside and (fs > eps or fs < neg_eps or fi > eps or fi < neg_eps)
+        ) and (eq := settle(crossed and i == jump, inside)) is not None:
             return build(eq)
         if crossed:
             continue  # reuse the current h; the controller re-adapts
         if err == 0.0:
             h *= _MAX_FACTOR
         else:
-            h *= min(_MAX_FACTOR, _SAFETY * err**-0.2)
+            factor = _SAFETY * err**-0.2
+            h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
 
     return build()
 
@@ -673,7 +742,10 @@ def classify_basin(
     """Label every start by the equilibrium its trajectory reaches.
 
     ``None`` marks starts still unresolved at t_max.  Dense/sample storage
-    is disabled for the sweep; only the labels survive.
+    is disabled for the sweep; only the labels survive.  Each start is one
+    `integrate` call, and the starts share one setup: `integrate` keeps the
+    equilibria, the sliding certificate and the piece fields of the last
+    ``(params, spec)`` objects it was given, keyed by their identity.
     """
     if cfg is None:
         cfg = IntegratorConfig()

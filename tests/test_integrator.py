@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import time
 
@@ -118,8 +120,9 @@ def test_a_nan_step_is_rejected_not_kept(monkeypatch):
 
 
 def test_a_zeno_spiral_without_capture_spends_the_step_budget(monkeypatch):
-    # ~22 us an accepted point and ~125,000 points by t = 12: without the
-    # budget the default t_max = 1e4 is out of reach
+    # ~13 us an accepted point, dense output stored, and ~125,600 points by
+    # t = 12 (2-core x86): without the budget the default t_max = 1e4 is
+    # out of reach
     monkeypatch.setattr(integrator, "MAX_STEPS", 2000)
     cfg = IntegratorConfig(capture_spiral=False)
     start = time.perf_counter()
@@ -619,6 +622,54 @@ def test_readme_sliding_run_is_captured_within_eight_crossings(x0):
     assert len(crossings(traj)) <= 8
 
 
+def test_readme_sliding_run_counts_its_attempts():
+    # pinned: a change to the step-size control or to the crossing
+    # location shows here before it shows in a digest
+    traj = integrate(FIG, StepResponse(0.2), State(0.9, 0.05))
+    assert (traj.attempts, traj.rejected) == (80, 2)
+
+
+def _ends_on(kind, eq_kind):
+    return lambda traj: kind in [k for _, k in traj.events] and (
+        traj.equilibrium is not None and traj.equilibrium.kind is eq_kind
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, x0, cfg, ends",
+    [
+        # i_star above I1 = 1/3: one CrossDown, then rest at the endemic point
+        pytest.param(
+            StepResponse(0.4), State(0.3, 0.6), None,
+            _ends_on(EventKind.CROSS_DOWN, EquilibriumKind.ENDEMIC), id="crosses",
+        ),
+        pytest.param(
+            StepResponse(0.2), State(0.9, 0.05), None,
+            _ends_on(EventKind.HIT_SLIDING, EquilibriumKind.SLIDING), id="captured",
+        ),
+        pytest.param(
+            _ramp(0.2, 0.05), State(0.3, 0.6), None,
+            lambda traj: [k for _, k in traj.events] == [EventKind.REACHED_EQUILIBRIUM],
+            id="rests",
+        ),
+        pytest.param(
+            StepResponse(0.2), State(0.9, 0.05),
+            IntegratorConfig(capture_spiral=False, t_max=12.0),
+            lambda traj: traj.reason is TerminationReason.T_MAX and crossings(traj),
+            id="t_max",
+        ),
+    ],
+)
+def test_every_attempt_not_rejected_is_an_accepted_point(spec, x0, cfg, ends):
+    """The counters add up against the stored samples, however the run
+    ends: a located crossing is one attempt, and a capture replaces the
+    last sample rather than adding one."""
+    traj = integrate(FIG, spec, x0, cfg)
+    assert ends(traj)
+    assert 0 <= traj.rejected < traj.attempts
+    assert traj.attempts - traj.rejected == len(traj.times) - 1
+
+
 # Admissible step models with a sliding point, i_star a fraction of I1 (every
 # admissible sliding point of this model that is not `boundary` is
 # asymptotically stable), and a start in the interior.
@@ -840,6 +891,156 @@ def test_a_sigmoid_with_an_empty_ramp_is_its_step(params, ramp, x0):
     for spec in (sigmoid, step):
         with pytest.raises(TypeError):
             dulac_scan(params, spec, 10)
+
+
+# ------------------------------------------------------------ the kept setup
+
+
+def _run_bits(params, spec, x0, cfg):
+    """Everything `integrate` returns, as exact bits."""
+    traj = integrate(params, spec, x0, cfg)
+    return (
+        traj.times.tobytes(),
+        traj.states.tobytes(),
+        [(t.hex(), kind) for t, kind in traj.events],
+        repr(traj.equilibrium),
+        traj.attempts,
+        traj.rejected,
+    )
+
+
+@st.composite
+def model_pairs(draw):
+    """Two ``(params, spec)`` pairs of distinct objects: the second drawn
+    on its own, or equal to the first, or differing only in the sign of a
+    zero gamma, which equality cannot tell apart."""
+    params, spec = draw(PARAMS), draw(RESPONSES)
+    how = draw(st.sampled_from(["other", "equal", "signed-zero"]))
+    if how == "other":
+        return (params, spec), (draw(PARAMS), draw(RESPONSES))
+    if how == "signed-zero":
+        params = dataclasses.replace(params, gamma=0.0)
+        twin = dataclasses.replace(params, gamma=-0.0)
+        assert twin == params
+    else:
+        twin = dataclasses.replace(params)
+    return (params, spec), (twin, dataclasses.replace(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@example(
+    pairs=(
+        (ModelParams(1.0, 0.0, 0.5), StepResponse(0.2)),
+        (ModelParams(1.0, -0.0, 0.5), StepResponse(0.2)),
+    ),
+    calls=[(0, State(0.9, 0.05)), (1, State(0.9, 0.05)), (0, State(0.3, 0.6))],
+)
+@given(
+    pairs=model_pairs(),
+    calls=st.lists(st.tuples(st.integers(0, 1), STARTS), min_size=2, max_size=6),
+)
+def test_the_kept_setup_never_serves_another_model(pairs, calls):
+    """Calls interleaved over two models give, bit for bit, what each call
+    gives after the kept setup is emptied, and a basin labels each start
+    as its own run does."""
+    cfg = IntegratorConfig(t_max=5.0, store_dense=False)
+    got = []
+    for k, x0 in calls:
+        got.append(_run_bits(*pairs[k], x0, cfg))
+        kept = integrator._last_setup
+        assert kept.params is pairs[k][0] and kept.spec is pairs[k][1]
+    for (k, x0), bits in zip(calls, got):
+        integrator._last_setup = None
+        assert _run_bits(*pairs[k], x0, cfg) == bits
+    params, spec = pairs[0]
+    starts = [x0 for _, x0 in calls]
+    labels = classify_basin(params, spec, starts, cfg)
+    for x0 in starts:
+        integrator._last_setup = None
+        eq = integrate(params, spec, x0, cfg).equilibrium
+        assert labels[x0] is (None if eq is None else eq.kind)
+
+
+def test_a_basin_builds_one_setup_and_fresh_objects_build_their_own(monkeypatch):
+    """The kept setup answers only for the objects it was built from: a
+    patched `_piece_fields` or `find_equilibria` serves the next fresh
+    pair, and a basin asks each once."""
+    spec = StepResponse(0.2)
+    integrate(FIG, spec, State(0.9, 0.05))
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(integrator, "_piece_fields", counted("fields", _piece_fields))
+    monkeypatch.setattr(integrator, "find_equilibria", counted("solve", find_equilibria))
+    integrate(FIG, spec, State(0.6, 0.3))
+    assert calls == []
+    params, twin = ModelParams(1.0, 1.0, 0.5), StepResponse(0.2)
+    labels = classify_basin(params, twin, grid_states(4))
+    assert set(labels.values()) == {EquilibriumKind.SLIDING}
+    assert calls == ["solve", "fields"]
+    integrate(params, StepResponse(0.2), State(0.9, 0.05))
+    assert calls == ["solve", "fields"] * 2
+
+
+# SHA-256 of the paths of runs on the loop's rarer branches, pinned before
+# the loop spelled its min, max and abs as comparisons and clipped only the
+# points outside the simplex: starts within DOMAIN_SLACK outside it, and
+# runs whose accepted points are clipped back into it, each on a step and
+# on a ramp.  From s0 = -5e-13 at gamma 100, s decays towards 0 faster than
+# i moves, so |s| rather than s in the error scale changes the path; s + i
+# leaves the simplex on plain steps at gamma 1000, and s falls below 0 on a
+# located crossing at gamma 100.
+FAST = ModelParams(1.0, 100.0, 0.5)
+STIFF = ModelParams(1.0, 1000.0, 100.0)
+EDGE_RUNS = {
+    ("s0 below 0", "step"): (FAST, StepResponse(0.2), State(-5e-13, 0.3)),
+    ("s0 below 0", "ramp"): (FAST, _ramp(0.2, 0.05), State(-5e-13, 0.3)),
+    ("s0 + i0 above 1", "step"): (FIG, StepResponse(0.2), State(0.5, 0.5 + 5e-13)),
+    ("s0 + i0 above 1", "ramp"): (FIG, _ramp(0.2, 0.05), State(0.5, 0.5 + 5e-13)),
+    ("clipped steps", "step"): (STIFF, StepResponse(0.01), State(0.5, 0.5)),
+    ("clipped steps", "ramp"): (STIFF, _ramp(0.005, 0.005), State(0.2, 0.3)),
+    ("clipped crossing", "step"): (FAST, StepResponse(0.01), State(0.5, 0.5)),
+    ("clipped crossing", "ramp"): (FAST, _ramp(0.005, 0.005), State(0.5, 0.5)),
+}
+EDGE_SHA256 = {
+    ("s0 below 0", "step"): "0715b4457cbd56bbded5ffbdaacbe13105977c830b6d7f9e984663ca194ab701",
+    ("s0 below 0", "ramp"): "185c19800c3fec014dbefb58f9fb6bdf35b0b6c7f9211760ec52ccdf858a868b",
+    ("s0 + i0 above 1", "step"): "0c1ddde44ea3ec1e1b38f36327fc1e12a51c81d83f028edd164637582648f341",
+    ("s0 + i0 above 1", "ramp"): "91fe6e539aba1b7324d323569d0e677bfa45556aa6702bb2463e44f5f28471b8",
+    ("clipped steps", "step"): "5e35bfca85d05675163fd698c612f6140b6abbfd1abc830171b0b6a93eb95923",
+    ("clipped steps", "ramp"): "cef18168351a57a31546e2eba3201712c84ab9ca76c20119cfc7030e56d3e50e",
+    ("clipped crossing", "step"): "4266b13a4d5f0b1e569a6b3a2c33596f8b56f2c3d9696759db7c5371a03f7f07",
+    ("clipped crossing", "ramp"): "6d1039f4066f88b73e8ed5b64256d61c185739a2e238ecc5d6bcb05f87e6bac8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_RUNS))
+def test_edge_runs_match_pinned_digests(case, monkeypatch):
+    params, spec, x0 = EDGE_RUNS[case]
+    moved = []
+
+    def clip(t, s, i):
+        out = clip_to_domain(t, s, i)
+        moved.append(out != (s, i))
+        return out
+
+    clip_to_domain = integrator._clip_to_domain
+    monkeypatch.setattr(integrator, "_clip_to_domain", clip)
+    traj = integrate(params, spec, x0)
+    digest = hashlib.sha256(traj.times.tobytes())
+    digest.update(traj.states.tobytes())
+    for t, kind in traj.events:
+        digest.update(f"{t.hex()} {kind.value}\n".encode())
+    digest.update(repr(traj.equilibrium).encode())
+    assert digest.hexdigest() == EDGE_SHA256[case]
+    if case[0].startswith("clipped"):
+        assert moved and all(moved)
 
 
 # ------------------------------------------------------------------- basins
