@@ -47,7 +47,7 @@ MAX_GRID_POINTS = 10**6
 
 # Expected clock events a run may draw; at the cap a run takes about a
 # minute.  The jump process takes ~0.2 us an event at n = 10^4 (~0.35 us
-# at n <= 1000) and trace replay ~0.22 us on a long run (~0.26 us on the
+# at n <= 1000) and trace replay ~0.13 us on a long run (~0.20 us on the
 # 41-node bench trace, contacts and grid sampling included: a run there
 # makes ~1,700 jumps on a 10^4-point grid, and `held_states` and the
 # fractions on the held states take ~0.45 ms of it; 2-core x86 host,

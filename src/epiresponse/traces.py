@@ -20,11 +20,12 @@ A class response only ever reads the infected fraction k / n, so each is
 tabulated once per experiment in the table the jump process reads too,
 `sampling.response_table`.  A run reads its clock in the numpy blocks of
 `sampling.clock_blocks`: per block, numpy turns the uniforms into agents
-and event types and finds, for each event, how many contacts start at or
-before it; the per-event loop then applies only the state-dependent
-tests.  A run tracks only the agents' states and the infected count; it
-logs each transition in time order, one log per class and move of
-`sampling.MOVES`.  Once the run is over, `sampling.held_states` turns the
+and event types.  The per-event loop compares each event's time with the
+next contact's start time, replays the contacts that start at or before
+it, then applies only the state-dependent tests; a last event that
+changes no state replays the contacts left.  A run tracks only the
+agents' states and the infected count; it logs each transition in time
+order, one log per class and move of `sampling.MOVES`.  Once the run is over, `sampling.held_states` turns the
 logs into the states the run held and the grid rows that hold each; the
 run's fractions are taken on those states, repeated over the rows past
 the transient cut into the experiment's sum, and time-averaged exactly
@@ -33,6 +34,7 @@ from their integer counts.
 
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -66,6 +68,11 @@ __all__ = [
 _S, _I, _P = 0, 1, 2
 _STATE_CODES = {"S": _S, "I": _I, "P": _P}
 
+# A run's last event, as a prepared clock block of one: an update of agent 0
+# at the largest float, with an acceptance uniform of 2.0 that no response
+# table accepts.  It changes no state; the contacts left start before it.
+_DRAIN = ([sys.float_info.max], [0], [True], [2.0])
+
 
 class Contact(NamedTuple):
     a: int
@@ -97,8 +104,12 @@ class ContactTrace:
     def __post_init__(self):
         if not self.contacts:
             raise EmptyTraceError("trace has no contacts")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"trace duration {self.duration} is not finite")
         prev = -math.inf
         for c in self.contacts:
+            if not (math.isfinite(c.t_start) and math.isfinite(c.t_end)):
+                raise ValueError(f"contact {c} has a time that is not finite")
             if c.a == c.b:
                 raise ValueError(f"self-contact on node {c.a}")
             if c.t_start < 0.0 or c.t_end < c.t_start:
@@ -267,7 +278,9 @@ class TraceResult:
     grid, shape (runs, 1 + n_classes, 3): the exact time-weighted mean,
     the run's integer counts summed over the grid and divided once.
     ``final_states`` gives each run's terminal agent states (0=S, 1=I,
-    2=P) in ``node_ids`` order.
+    2=P) in ``node_ids`` order.  ``clock_events`` counts the clock events
+    drawn and ``transitions`` each move of `sampling.MOVES` made, both
+    summed over the runs (and the classes).
     """
 
     times: np.ndarray
@@ -278,6 +291,8 @@ class TraceResult:
     class_of: np.ndarray
     transient_cut: float
     runs: int
+    clock_events: int
+    transitions: np.ndarray
 
     def final_infected(self, run: int) -> frozenset:
         mask = self.final_states[run] == _I
@@ -353,8 +368,10 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     if cut_idx == grid.size:
         raise ValueError("transient_cut leaves no samples")
 
-    contacts = [(c.t_start, index[c.a], index[c.b]) for c in trace.contacts]
-    c_times = np.array([c.t_start for c in trace.contacts])
+    # Contacts in start order, and their start times with a last inf that
+    # no event reaches.
+    pairs = [(index[c.a], index[c.b]) for c in trace.contacts]
+    c_starts = [c.t_start for c in trace.contacts] + [math.inf]
 
     p_update = gamma / (gamma + delta) if gamma + delta > 0.0 else 0.0
 
@@ -376,53 +393,59 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
     grid_sum = np.zeros((kept_rows, 3 * (1 + n_classes)))
     per_run_avg = np.empty((exp.runs, 3 * (1 + n_classes)))
     final_states = np.empty((exp.runs, n), dtype=np.int8)
+    clock_events = -exp.runs  # a run's `_DRAIN` is no clock event
+    logged = np.zeros(len(jumps), dtype=np.int64)
 
     for run in range(exp.runs):
         st = list(init_state)
         n_inf = st.count(_I)
         logs = [array("d") for _ in jumps]
+        ci, next_tc = 0, c_starts[0]
 
-        # Per clock event: its time, agent int(u * n), whether it is an
-        # update, its acceptance uniform, and the number of contacts at or
-        # before it, which are replayed first (contacts win ties).  A last
-        # event with no time drains the contacts left.
-        events = chain.from_iterable(
-            zip(
-                times.tolist(),
-                (uu[:, 1] * n).astype(np.intp).tolist(),
-                (uu[:, 0] < p_update).tolist(),
-                uu[:, 2].tolist(),
-                np.searchsorted(c_times, times, side="right").tolist(),
-            )
-            for times, uu in clock_blocks((seed, run), clock_rate, span)
+        # Per clock block, numpy prepares each event's time, its agent
+        # int(u * n), whether it is an update and its acceptance uniform.
+        # The contacts that start at or before an event are replayed first
+        # (contacts win ties); `_DRAIN` replays those left.
+        blocks = chain(
+            (
+                (
+                    times.tolist(),
+                    (uu[:, 1] * n).astype(np.intp).tolist(),
+                    (uu[:, 0] < p_update).tolist(),
+                    uu[:, 2].tolist(),
+                )
+                for times, uu in clock_blocks((seed, run), clock_rate, span)
+            ),
+            [_DRAIN],
         )
-        ci = 0
-        for tk, j, update, u_act, c_stop in chain(events, [(None, 0, 0, 0, n_contacts)]):
-            if ci < c_stop:
-                for tc, a, b in contacts[ci:c_stop]:
+        for block in blocks:
+            clock_events += len(block[0])
+            for tk, j, update, u_act in zip(*block):
+                while next_tc <= tk:
+                    a, b = pairs[ci]
                     # S = 0, I = 1, P = 2: only an {S, I} pair sums to 1
                     if st[a] + st[b] == 1:
                         s = b if st[a] else a
                         st[s] = _I
                         n_inf += 1
-                        logs[code_base[s]].append(tc)
-                ci = c_stop
-            if tk is None:
-                break
-            sj = st[j]
-            if update:
-                if sj == _S:
-                    if u_act < p_sp_of[j][n_inf]:
-                        st[j] = _P
-                        logs[code_base[j] + 1].append(tk)
-                elif sj == _P:
-                    if u_act < p_ps_of[j][n_inf]:
-                        st[j] = _S
-                        logs[code_base[j] + 2].append(tk)
-            elif sj == _I:
-                st[j] = _P
-                n_inf -= 1
-                logs[code_base[j] + 3].append(tk)
+                        logs[code_base[s]].append(next_tc)
+                    ci += 1
+                    next_tc = c_starts[ci]
+                sj = st[j]
+                if update:
+                    if sj == _S:
+                        if u_act < p_sp_of[j][n_inf]:
+                            st[j] = _P
+                            logs[code_base[j] + 1].append(tk)
+                    elif sj == _P:
+                        if u_act < p_ps_of[j][n_inf]:
+                            st[j] = _S
+                            logs[code_base[j] + 2].append(tk)
+                elif sj == _I:
+                    st[j] = _P
+                    n_inf -= 1
+                    logs[code_base[j] + 3].append(tk)
+        logged += [len(log) for log in logs]
 
         # The fractions are taken on the states the run held, then repeated
         # over the rows at or after the cut that hold each; the time-average
@@ -448,4 +471,6 @@ def run_trace_experiment(trace: ContactTrace, exp: TraceExperiment, seed) -> Tra
         class_of=np.array(class_of),
         transient_cut=cut,
         runs=exp.runs,
+        clock_events=clock_events,
+        transitions=logged.reshape(n_classes, len(MOVES)).sum(axis=0),
     )

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
 from bisect import bisect_right
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from epiresponse.model import (
     TabulatedResponse,
     compile_response,
 )
-from epiresponse.sampling import clock_blocks, response_table
+from epiresponse import traces
+from epiresponse.sampling import MOVES, clock_blocks, response_table
 from epiresponse.traces import (
     Contact,
     ContactTrace,
@@ -110,6 +113,23 @@ def test_parse_empty_trace():
 def test_trace_validation():
     with pytest.raises(ValueError):
         ContactTrace(node_ids=(0, 1), contacts=(), duration=10.0)
+
+
+def test_a_trace_refuses_times_that_are_not_finite():
+    nan, inf = float("nan"), float("inf")
+    good = [Contact(0, 1, 1.0, 2.0), Contact(1, 2, 3.0, 3.0)]
+    for bad, where in ((Contact(0, 2, nan, nan), 0), (Contact(0, 2, nan, 4.0), 1),
+                       (Contact(0, 2, 1.5, inf), 1)):
+        contacts = (*good[:where], bad, *good[where:])
+        with pytest.raises(ValueError, match=r"contact Contact\(a=0, b=2.*not finite"):
+            ContactTrace(node_ids=(0, 1, 2), contacts=contacts, duration=5.0)
+    # a NaN start would sort anywhere and pass every ordering check
+    with pytest.raises(ValueError, match="not finite"):
+        ContactTrace.from_contacts([(1, 2, 1.0, 5.0), (0, 1, nan, nan), (0, 2, 3.0, 3.0)])
+    trace = ContactTrace.from_contacts(good)
+    for duration in (nan, inf):
+        with pytest.raises(ValueError, match="duration .* not finite"):
+            dataclasses.replace(trace, duration=duration)
 
 
 # --------------------------------------------------------- synthetic traces
@@ -318,11 +338,12 @@ def test_response_table_holds_the_compiled_response_at_every_count(spec, n, on):
 CODES = {"S": 0, "I": 1, "P": 2}
 
 
-def plain_replay(trace, exp, seed, run):
-    """Run ``run`` of ``exp`` event by event: every row of
-    `sampling.clock_blocks`, after the contacts that start at or before
-    it, with the class response called at the event.  Returns the final
-    states (0=S, 1=I, 2=P) and every transition as (time, agent, state)."""
+def plain_replay(trace, exp, seed, run, clock=clock_blocks):
+    """Run ``run`` of ``exp`` event by event: every row of ``clock`` (by
+    default `sampling.clock_blocks`), after the contacts that start at or
+    before it, with the class response called at the event.  Returns the
+    final states (0=S, 1=I, 2=P) and every transition as (time, agent,
+    state)."""
     nodes = list(trace.node_ids)
     n, inv_n = len(nodes), 1.0 / len(nodes)
     index = {nid: j for j, nid in enumerate(nodes)}
@@ -334,7 +355,7 @@ def plain_replay(trace, exp, seed, run):
     contacts = [(c.t_start, index[c.a], index[c.b]) for c in trace.contacts]
     rows = [
         (t, *u)
-        for times, uu in clock_blocks((seed, run), n * rate, trace.duration)
+        for times, uu in clock((seed, run), n * rate, trace.duration)
         for t, u in zip(times.tolist(), uu.tolist())
     ]
     moves, ci = [], 0
@@ -428,6 +449,146 @@ def test_replay_matches_the_plain_per_event_replay(case):
         # the exact time-weighted mean: integer totals, divided once
         exact = np.sum(counts, axis=0) / (len(res.times) * sizes)
         np.testing.assert_array_equal(res.per_run_avg[run], exact)
+
+
+def plain_run(trace, exp, seed, run, grid, clock=clock_blocks):
+    """`plain_replay`'s final states and the run's exact time-averaged (S, I,
+    P) fractions over ``grid``, aggregate and per class."""
+    state, moves = plain_replay(trace, exp, seed, run, clock)
+    ids = trace.node_ids
+    assignment = exp.class_assignment or dict.fromkeys(ids, 0)
+    groups = [np.arange(len(ids))] + [
+        np.array([j for j, nid in enumerate(ids) if assignment[nid] == c])
+        for c in range(len(exp.classes))
+    ]
+    current = np.array([CODES[exp.initial[nid]] for nid in ids])
+    move_times, done = [m[0] for m in moves], 0
+    totals = np.zeros((len(groups), 3), dtype=np.int64)
+    for t in grid:
+        stop = bisect_right(move_times, t)
+        for _, j, new in moves[done:stop]:
+            current[j] = new
+        done = stop
+        totals += [np.bincount(current[g], minlength=3) for g in groups]
+    sizes = np.array([len(g) for g in groups])[:, None]
+    return state, totals / (len(grid) * sizes)
+
+
+def recut(sizes):
+    """`traces.clock_blocks` with each block cut again into pieces of the
+    sizes ``sizes`` names in turn (0 among them)."""
+    turn = cycle(sizes)
+
+    def blocks(seed, rate, t_end):
+        for times, uu in clock_blocks(seed, rate, t_end):
+            start = 0
+            while start < times.size:
+                stop = start + next(turn)
+                yield times[start:stop], uu[start:stop]
+                start = stop
+
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=replays(), sizes=st.lists(st.integers(0, 3) | st.integers(0, 40), min_size=1,
+                                      max_size=8).filter(any))
+def test_replay_does_not_depend_on_where_the_clock_blocks_end(case, sizes):
+    trace, exp, seed = case
+    whole = run_trace_experiment(trace, exp, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "clock_blocks", recut(sizes))
+        cut = run_trace_experiment(trace, exp, seed)
+    for f in dataclasses.fields(whole):
+        np.testing.assert_array_equal(getattr(cut, f.name), getattr(whole, f.name), f.name)
+
+
+def on_contact_starts(trace):
+    """A clock with an event at every contact start time and one between each
+    two, whatever the rate: contact and clock event tie at each start."""
+    starts = sorted({c.t_start for c in trace.contacts})
+    times = np.array(sorted(starts + [(a + b) / 2 for a, b in zip(starts, starts[1:])]))
+
+    def blocks(seed, rate, t_end):
+        yield times, np.random.default_rng(seed).random((times.size, 3))
+
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=replays())
+def test_a_contact_goes_before_a_clock_event_at_its_start_time(case):
+    trace, exp, seed = case
+    clock = on_contact_starts(trace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "clock_blocks", clock)
+        res = run_trace_experiment(trace, exp, seed)
+    for run in range(exp.runs):
+        state, avg = plain_run(trace, exp, seed, run, res.times, clock)
+        assert res.final_states[run].tolist() == state
+        np.testing.assert_array_equal(res.per_run_avg[run], avg)
+
+
+def test_a_contact_tied_with_a_recovery_infects_first():
+    # 0 infected meets 1 at t = 10, when the clock recovers 0 (u_type 0.9
+    # is past p_update 0.5; agent int(0.1 * 2) = 0)
+    trace = ContactTrace.from_contacts([(0, 1, 10.0, 10.0)])
+
+    def clock(seed, rate, t_end):
+        yield np.array([10.0]), np.array([[0.9, 0.1, 0.5]])
+
+    exp = one_class(gamma=1.0, delta=1.0, initial={0: "I", 1: "S"}, transient_cut=0.0,
+                    grid_dt=5.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "clock_blocks", clock)
+        res = run_trace_experiment(trace, exp, seed=0)
+    assert res.final_states[0].tolist() == [2, 1]
+    assert plain_replay(trace, exp, 0, 0, clock)[0] == [2, 1]
+
+
+def test_a_run_of_more_than_one_block_matches_the_plain_replay():
+    # 8 agents * 5.005 / s * 2000 s: ~80k clock events, two blocks a run
+    trace = make_complete_mixing_trace(8, 0.01, 2000.0, seed=2)
+    ids = trace.node_ids
+    exp = TraceExperiment(
+        gamma=5.0,
+        delta=0.005,
+        classes=(ClassSpec(0.5, StepResponse(0.3)), ClassSpec(0.5, SigmoidResponse(0.6, 0.2))),
+        initial={nid: "I" if nid < 2 else "S" for nid in ids},
+        class_assignment={nid: nid % 2 for nid in ids},
+        runs=1,
+        grid_dt=10.0,
+    )
+    res = run_trace_experiment(trace, exp, seed=4)
+    blocks = [times.size for times, _ in clock_blocks((4, 0), 8 * 5.005, 2000.0)]
+    assert len(blocks) > 1 and sum(blocks) > 65_536
+    state, avg = plain_run(trace, exp, 4, 0, res.times)
+    assert res.final_states[0].tolist() == state
+    np.testing.assert_array_equal(res.per_run_avg[0], avg)
+
+
+def test_counters_add_up_to_the_final_states():
+    trace = make_complete_mixing_trace(10, 0.05, 200.0, seed=3)
+    ids = trace.node_ids
+    exp = TraceExperiment(
+        gamma=0.05,
+        delta=0.02,
+        classes=(ClassSpec(0.5, SigmoidResponse(0.2, 0.1)), ClassSpec(0.5, StepResponse(0.4))),
+        initial={nid: "SIP"[nid % 3] for nid in ids},
+        class_assignment={nid: nid % 2 for nid in ids},
+        runs=4,
+    )
+    res = run_trace_experiment(trace, exp, seed=11)
+    initial = np.bincount([CODES[exp.initial[nid]] for nid in ids], minlength=3)
+    final = np.bincount(res.final_states.ravel(), minlength=3)
+    assert res.transitions.shape == (len(MOVES),) and res.transitions.sum() > 0
+    np.testing.assert_array_equal(exp.runs * initial + res.transitions @ MOVES, final)
+    drawn = [
+        times.size
+        for k in range(exp.runs)
+        for times, _ in clock_blocks((11, k), 10 * 0.07, trace.duration)
+    ]
+    assert res.clock_events == sum(drawn) > 0
 
 
 # Taken before the per-run tail moved onto the held states: both classes
